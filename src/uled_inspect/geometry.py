@@ -126,37 +126,86 @@ def apply_homography_array(h: Homography, points: np.ndarray) -> np.ndarray:
     return np.stack([u, v], axis=1)
 
 
-def warp_plane(plane: np.ndarray, inv: np.ndarray, out_width: int, out_height: int) -> np.ndarray:
-    src = plane.astype(np.float64)
-    xs = np.arange(out_width) + 0.5
-    ys = np.arange(out_height) + 0.5
-    gx, gy = np.meshgrid(xs, ys)
+@dataclass(frozen=True)
+class WarpPlan:
+    """Bilinear sampling plan of one inverse mapping: per tap, in the order
+    (0, 0), (0, 1), (1, 0), (1, 1) as (row, column) offsets, the flat source
+    index and the weight of every output sample.  A tap outside the source
+    has index 0 and weight 0.0."""
+
+    src_shape: tuple[int, int]
+    out_shape: tuple[int, int]
+    taps: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def warp_plan(inv: np.ndarray, out_width: int, out_height: int, src_shape: tuple[int, int]) -> WarpPlan:
+    """Pull every output sample center back through inv and record its four
+    bilinear taps into a source of shape src_shape (height, width)."""
+    h_src, w_src = src_shape
+    # Broadcast row and column vectors instead of materializing a meshgrid.
+    gx = (np.arange(out_width) + 0.5)[None, :]
+    gy = (np.arange(out_height) + 0.5)[:, None]
     w = inv[2, 0] * gx + inv[2, 1] * gy + inv[2, 2]
     valid = np.abs(w) >= _DET_EPS
-    w_safe = np.where(valid, w, 1.0)
-    u = (inv[0, 0] * gx + inv[0, 1] * gy + inv[0, 2]) / w_safe
-    v = (inv[1, 0] * gx + inv[1, 1] * gy + inv[1, 2]) / w_safe
+    w[~valid] = 1.0
+    du = (inv[0, 0] * gx + inv[0, 1] * gy + inv[0, 2]) / w - 0.5
+    dv = (inv[1, 0] * gx + inv[1, 1] * gy + inv[1, 2]) / w - 0.5
+    del w
+    # Fractional parts in place: no further output-sized float pair is made.
+    iu = np.floor(du)
+    du -= iu
+    iu = iu.astype(np.int64)
+    iv = np.floor(dv)
+    dv -= iv
+    iv = iv.astype(np.int64)
 
-    fu = u - 0.5
-    fv = v - 0.5
-    iu = np.floor(fu).astype(np.int64)
-    iv = np.floor(fv).astype(np.int64)
-    du = fu - iu
-    dv = fv - iv
-
-    h_src, w_src = src.shape
-    out = np.zeros((out_height, out_width))
+    in_x = (valid & (iu >= 0) & (iu < w_src), valid & (iu >= -1) & (iu < w_src - 1))
+    in_y = ((iv >= 0) & (iv < h_src), (iv >= -1) & (iv < h_src - 1))
+    base = iv * w_src + iu
+    del iu, iv, valid
+    taps = []
     for oy, ox, weight in (
         (0, 0, (1 - du) * (1 - dv)),
         (0, 1, du * (1 - dv)),
         (1, 0, (1 - du) * dv),
         (1, 1, du * dv),
     ):
-        sx = iu + ox
-        sy = iv + oy
-        inside = valid & (sx >= 0) & (sx < w_src) & (sy >= 0) & (sy < h_src)
-        out[inside] += weight[inside] * src[sy[inside], sx[inside]]
-    return out
+        outside = ~(in_x[ox] & in_y[oy])
+        index = base + (oy * w_src + ox)
+        index[outside] = 0
+        weight[outside] = 0.0
+        taps.append((index.ravel(), weight.ravel()))
+    return WarpPlan((h_src, w_src), (out_height, out_width), tuple(taps))
+
+
+def warp_plane(
+    plane: np.ndarray, inv: np.ndarray, out_width: int, out_height: int, plan: WarpPlan | None = None
+) -> np.ndarray:
+    """Bilinear inverse warp of one plane; sources outside it contribute 0.
+
+    `plan` must come from `warp_plan(inv, out_width, out_height, plane.shape)`
+    (built here when None), so the planes of one frame share the coordinate
+    work.  The result is bit-identical to gathering each tap only where it
+    lies inside the source, for planes that are finite and >= 0 (every
+    MeasurementFrame plane and every ideal plane of the generator): an outside
+    tap reads sample 0 with weight 0.0, which adds exactly +0.0, and the taps
+    are summed in the same order with the same weight expressions.  Only a
+    -0.0 sample can differ, coming out as -0.0 instead of +0.0.
+    """
+    out_shape = (out_height, out_width)
+    if plan is None:
+        plan = warp_plan(inv, out_width, out_height, plane.shape)
+    elif plan.src_shape != plane.shape or plan.out_shape != out_shape:
+        raise GeometryError(
+            f"warp plan maps {plan.src_shape} onto {plan.out_shape}; got a {plane.shape} plane onto {out_shape}"
+        )
+    # A float32 sample times a float64 weight equals its float64 copy times it.
+    src = np.ravel(plane)
+    (index, weight), *rest = plan.taps
+    out = weight * src.take(index)
+    for index, weight in rest:
+        out += weight * src.take(index)
+    return out.reshape(out_shape)
 
 
 def warp_frame(frame: MeasurementFrame, h: Homography, out_width: int, out_height: int) -> MeasurementFrame:
@@ -169,10 +218,11 @@ def warp_frame(frame: MeasurementFrame, h: Homography, out_width: int, out_heigh
     if out_width <= 0 or out_height <= 0:
         raise GeometryError(f"output size must be positive, got {out_width}x{out_height}")
     inv = h.inverse().matrix
-    lum = warp_plane(frame.luminance, inv, out_width, out_height)
+    plan = warp_plan(inv, out_width, out_height, frame.luminance.shape)
+    lum = warp_plane(frame.luminance, inv, out_width, out_height, plan)
     if frame.has_chroma:
-        cx = warp_plane(frame.chroma_x, inv, out_width, out_height)
-        cy = warp_plane(frame.chroma_y, inv, out_width, out_height)
+        cx = warp_plane(frame.chroma_x, inv, out_width, out_height, plan)
+        cy = warp_plane(frame.chroma_y, inv, out_width, out_height, plan)
         return MeasurementFrame(out_width, out_height, lum, np.clip(cx, 0.0, 1.0), np.clip(cy, 0.0, 1.0))
     return MeasurementFrame(out_width, out_height, lum)
 

@@ -186,7 +186,8 @@ def _lloyd(Y: np.ndarray, k: int, restart_seed: int, max_iter: int, tol: float):
         labels = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(len(Y)), labels]
         inertia = float(point_d2.sum())
-        assert inertia <= previous_inertia * (1 + 1e-12) + 1e-12, "Lloyd inertia increased"
+        if inertia > previous_inertia * (1 + 1e-12) + 1e-12:
+            raise MlError(f"Lloyd inertia increased from {previous_inertia!r} to {inertia!r}")
         previous_inertia = inertia
 
         new_centroids = centroids.copy()

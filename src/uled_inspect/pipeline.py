@@ -2,15 +2,20 @@
 extraction, classification, and report emission.
 
 A run is deterministic for a given configuration: the report JSON is
-byte-identical across repeated runs.  On stage failure every artifact written
-so far is removed, so an output directory never holds a partial result.
+byte-identical across repeated runs.  The artifacts are written into a
+temporary directory inside the output directory and moved into place only once
+all of them are written, so a failed run leaves the output directory's files
+as they were and it never holds a partial or mixed result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,17 +84,14 @@ def _thread_count(config: PipelineConfig) -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
 def _stage(name: str):
-    class _StageGuard:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineStageError):
-                raise PipelineStageError(name, exc) from exc
-            return False
-
-    return _StageGuard()
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except BaseException as exc:
+        raise PipelineStageError(name, exc) from exc
 
 
 def _rectify(frame: io.MeasurementFrame, corners) -> tuple[io.MeasurementFrame, geometry.Homography]:
@@ -156,8 +158,8 @@ def _overlay_svg(pixel_grid: grid.PixelGrid, cell_features, statuses) -> str:
 def run(config: PipelineConfig) -> ClassificationReport:
     """Execute every stage in order and emit the artifact set.
 
-    Raises PipelineStageError naming the failed stage; no artifacts survive a
-    failed run.
+    Raises PipelineStageError naming the failed stage; a failed run leaves
+    the output directory's files as they were.
     """
     threads = _thread_count(config)
 
@@ -256,30 +258,31 @@ def run(config: PipelineConfig) -> ClassificationReport:
     }
 
     out_dir = Path(config.output_dir)
-    written: list[Path] = []
-    try:
-        with _stage("artifacts"):
-            out_dir.mkdir(parents=True, exist_ok=True)
-            payloads = {
-                "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
-                "projections_x.csv": proj_x.to_csv(),
-                "projections_y.csv": proj_y.to_csv(),
-                "features.csv": features.to_csv(cell_features),
-                "grid.json": pixel_grid.to_json() + "\n",
-                "overlay.svg": _overlay_svg(pixel_grid, cell_features, statuses),
-            }
+    with _stage("artifacts"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        payloads = {
+            "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
+            "projections_x.csv": proj_x.to_csv(),
+            "projections_y.csv": proj_y.to_csv(),
+            "features.csv": features.to_csv(cell_features),
+            "grid.json": pixel_grid.to_json() + "\n",
+            "overlay.svg": _overlay_svg(pixel_grid, cell_features, statuses),
+        }
+        # Staged inside out_dir, not beside it, so the renames never cross a
+        # filesystem boundary (out_dir may be a mount point) and need no write
+        # access to its parent.
+        staging = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
+        try:
             for name in ARTIFACT_NAMES:
-                path = out_dir / name
-                path.write_text(payloads[name], encoding="ascii")
-                written.append(path)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+                (staging / name).write_text(payloads[name], encoding="ascii")
+            for name in ARTIFACT_NAMES:
+                os.replace(staging / name, out_dir / name)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
 
     return ClassificationReport(
         report=report,
-        artifacts=tuple(written),
+        artifacts=tuple(out_dir / name for name in ARTIFACT_NAMES),
         grid_metrics=metrics,
         confusion=confusion_matrix,
         les_stats=les,

@@ -117,13 +117,6 @@ def ideal_cell_rectangles(config: SynthConfig) -> list[tuple[float, float, float
     return rects
 
 
-def ideal_edge_positions(config: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-boundary coordinates (gap centers) per axis in LES coordinates."""
-    x = np.arange(config.grid_cols + 1) * config.pitch
-    y = np.arange(config.grid_rows + 1) * config.pitch
-    return x, y
-
-
 def drawn_brightness(config: SynthConfig) -> np.ndarray:
     """The per-cell brightness draws (rows x cols), before any defect scaling."""
     stream = SplitMix64(mix(config.seed, _STREAM_BRIGHTNESS))
@@ -235,12 +228,14 @@ def generate(config: SynthConfig) -> tuple[MeasurementFrame, DefectMap, list[tup
     out_height = int(math.ceil(extent[1])) + 2 * LES_MARGIN_PX
 
     inv = h_final.inverse().matrix
-    lum = geometry.warp_plane(ideal_lum, inv, out_width, out_height)
-    chroma_x = geometry.warp_plane(ideal_cx, inv, out_width, out_height)
-    chroma_y = geometry.warp_plane(ideal_cy, inv, out_width, out_height)
+    plan = geometry.warp_plan(inv, out_width, out_height, ideal_lum.shape)
+    lum = geometry.warp_plane(ideal_lum, inv, out_width, out_height, plan)
+    chroma_x = geometry.warp_plane(ideal_cx, inv, out_width, out_height, plan)
+    chroma_y = geometry.warp_plane(ideal_cy, inv, out_width, out_height, plan)
     # Outside the warped ideal raster the chroma blend must stay at the mean,
     # not the warp's zero fill.
-    support = geometry.warp_plane(np.ones_like(ideal_lum), inv, out_width, out_height)
+    support = geometry.warp_plane(np.ones_like(ideal_lum), inv, out_width, out_height, plan)
+    del plan  # eight output-sized arrays; free them before the noise draw
     chroma_x = chroma_x + (1.0 - support) * config.chroma_mean_x
     chroma_y = chroma_y + (1.0 - support) * config.chroma_mean_y
 

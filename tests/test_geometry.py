@@ -223,6 +223,87 @@ def test_warp_chroma_planes_follow_luminance():
     assert np.array_equal(out.chroma_x, out.chroma_y)
 
 
+def masked_warp_oracle(plane, inv, out_width, out_height):
+    """The per-tap masked bilinear warp the sampling plan replaced: the
+    coordinates are rebuilt for every plane and each tap is gathered only where
+    it falls inside the source."""
+    src = plane.astype(np.float64)
+    xs = np.arange(out_width) + 0.5
+    ys = np.arange(out_height) + 0.5
+    gx, gy = np.meshgrid(xs, ys)
+    w = inv[2, 0] * gx + inv[2, 1] * gy + inv[2, 2]
+    valid = np.abs(w) >= 1e-12
+    w_safe = np.where(valid, w, 1.0)
+    u = (inv[0, 0] * gx + inv[0, 1] * gy + inv[0, 2]) / w_safe
+    v = (inv[1, 0] * gx + inv[1, 1] * gy + inv[1, 2]) / w_safe
+
+    fu = u - 0.5
+    fv = v - 0.5
+    iu = np.floor(fu).astype(np.int64)
+    iv = np.floor(fv).astype(np.int64)
+    du = fu - iu
+    dv = fv - iv
+
+    h_src, w_src = src.shape
+    out = np.zeros((out_height, out_width))
+    for oy, ox, weight in (
+        (0, 0, (1 - du) * (1 - dv)),
+        (0, 1, du * (1 - dv)),
+        (1, 0, (1 - du) * dv),
+        (1, 1, du * dv),
+    ):
+        sx = iu + ox
+        sy = iv + oy
+        inside = valid & (sx >= 0) & (sx < w_src) & (sy >= 0) & (sy < h_src)
+        out[inside] += weight[inside] * src[sy[inside], sx[inside]]
+    return out
+
+
+def _rotation_perspective_inverse():
+    # Rotates by 20 degrees about (25, 20) with a perspective term, into an
+    # output larger than the source, so many taps land outside it.
+    theta = math.radians(20.0)
+    c, s = math.cos(theta), math.sin(theta)
+    m = np.array([[c, -s, 25.0 - 25.0 * c + 20.0 * s], [s, c, 20.0 - 25.0 * s - 20.0 * c], [0.002, -0.003, 1.0]])
+    return Homography(m).inverse().matrix
+
+
+@pytest.mark.parametrize("case", ["identity", "rotation_perspective", "ones"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype):
+    rng = np.random.default_rng(21)
+    shape = (40, 50)
+    plane = rng.uniform(0, 80, size=shape).astype(dtype)
+    if case == "identity":
+        inv, out_width, out_height = np.eye(3), 50, 40
+    else:
+        inv, out_width, out_height = _rotation_perspective_inverse(), 72, 64
+    if case == "ones":
+        plane = np.ones(shape, dtype=dtype)
+    expected = masked_warp_oracle(plane, inv, out_width, out_height)
+    plan = geometry.warp_plan(inv, out_width, out_height, shape)
+    if case != "identity":
+        outside = [(weight == 0.0) & (index == 0) for index, weight in plan.taps]
+        assert all(mask.any() for mask in outside)
+        assert not np.all(outside[0])
+    for out in (
+        geometry.warp_plane(plane, inv, out_width, out_height, plan),
+        geometry.warp_plane(plane, inv, out_width, out_height),
+    ):
+        assert out.dtype == np.float64 and out.shape == (out_height, out_width)
+        assert out.tobytes() == expected.tobytes()
+        assert not np.signbit(out).any()
+
+
+def test_warp_plan_of_another_shape_is_rejected():
+    inv = np.eye(3)
+    plan = geometry.warp_plan(inv, 20, 10, (10, 20))
+    with pytest.raises(GeometryError, match="warp plan"):
+        geometry.warp_plane(np.ones((10, 21)), inv, 20, 10, plan)
+    with pytest.raises(GeometryError, match="warp plan"):
+        geometry.warp_plane(np.ones((10, 20)), inv, 20, 11, plan)
+
+
 def test_detect_corners_undistorted_within_2px():
     config = synthgen.SynthConfig(
         grid_rows=12, grid_cols=12, cell_size_px=20, gap_px=3, lum_sigma=5, seed=5

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +122,39 @@ def test_failed_run_leaves_no_artifacts(tmp_path, monkeypatch):
             defects_path=str(defects_path), kmeans=fast_kmeans(),
         ))
     assert not list(out.iterdir())
+
+
+def test_failed_rewrite_keeps_the_earlier_artifact_set(tmp_path, monkeypatch):
+    _, frame_path, defects_path, _ = small_map(tmp_path)
+    out = tmp_path / "out"
+    config = PipelineConfig(
+        frame_path=str(frame_path), output_dir=str(out),
+        defects_path=str(defects_path), kmeans=fast_kmeans(),
+    )
+    run(config)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == set(ARTIFACT_NAMES)
+
+    write_text = Path.write_text
+    calls = []
+
+    def fail_third(self, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_third)
+    with pytest.raises(PipelineStageError, match="artifacts") as info:
+        run(config)
+    assert info.value.stage == "artifacts"
+    assert len(calls) == 3
+    monkeypatch.undo()
+
+    # Exactly the first run's six files, and no staging directory inside or
+    # beside out/.
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["out"]
 
 
 def test_report_json_schema(tmp_path):
