@@ -7,12 +7,11 @@ from .io import DefectMap, MeasurementFrame, read_defect_map, read_frame, write_
 from .synthgen import SynthConfig, generate, ideal_cell_rectangles
 from .geometry import Homography, apply_homography, detect_corners, estimate_homography, warp_frame
 from .grid import AxisProjection, GridMetrics, PixelGrid, build_grid, cell_size, detect_edges, estimate_period, project
-from .features import CellFeatures, extract
+from .features import CellTable, extract
 from .ml import (
     KMeansConfig,
     KMeansModel,
     PcaModel,
-    Standardizer,
     kmeans_fit,
     label_clusters,
     pca_fit,
@@ -46,9 +45,8 @@ __all__ = [
     "detect_edges",
     "build_grid",
     "cell_size",
-    "CellFeatures",
+    "CellTable",
     "extract",
-    "Standardizer",
     "PcaModel",
     "KMeansConfig",
     "KMeansModel",

@@ -21,7 +21,10 @@ EXIT_USAGE = 2
 EXIT_STAGE = 3
 EXIT_MISMATCH = 4
 
-# evaluate tolerances: absolute for rates/accuracy, relative for px and cd/m^2.
+# evaluate compares every number in these report sections: integers exactly,
+# floats in confusion (rates/accuracy) absolutely, other floats (px, cd/m^2)
+# relatively.
+COMPARED_SECTIONS = ("grid_metrics", "confusion", "les_stats")
 RATE_ATOL = 1e-3
 VALUE_RTOL = 1e-3
 
@@ -155,6 +158,30 @@ def _close(a: float, b: float, *, relative: bool) -> bool:
     return abs(a - b) <= RATE_ATOL
 
 
+def _read_report_sections(path: str) -> dict[str, dict]:
+    """The compared sections of a report, a null or absent one as {}.
+
+    Raises OSError or ValueError when the file cannot be read or is not a
+    report: a top level that is not an object, a section that is neither an
+    object nor null, or a section value that is not a number.
+    """
+    report = json.loads(Path(path).read_text(encoding="ascii"))
+    if not isinstance(report, dict):
+        raise ValueError(f"top level is a JSON {type(report).__name__}, not an object")
+    sections = {}
+    for name in COMPARED_SECTIONS:
+        section = report.get(name)
+        if section is None:
+            section = {}
+        elif not isinstance(section, dict):
+            raise ValueError(f"{name} is neither an object nor null")
+        for key, value in section.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name}.{key} is not a number: {value!r}")
+        sections[name] = section
+    return sections
+
+
 def _cmd_evaluate(args) -> int:
     if len(args.report) != 2:
         print("error: evaluate needs exactly two --report arguments", file=sys.stderr)
@@ -162,43 +189,23 @@ def _cmd_evaluate(args) -> int:
     loaded = []
     for path in args.report:
         try:
-            loaded.append(json.loads(Path(path).read_text(encoding="ascii")))
-        except (OSError, json.JSONDecodeError) as exc:
+            loaded.append(_read_report_sections(path))
+        except (OSError, ValueError) as exc:
             print(f"error: cannot read report {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     a, b = loaded
     diffs: list[str] = []
-
-    def compare(section: str, key: str, *, relative: bool):
-        va = (a.get(section) or {}).get(key)
-        vb = (b.get(section) or {}).get(key)
-        if va is None and vb is None:
-            return
-        if va is None or vb is None:
-            diffs.append(f"{section}.{key}: {va} vs {vb}")
-        elif isinstance(va, int) and isinstance(vb, int):
-            if va != vb:
-                diffs.append(f"{section}.{key}: {va} vs {vb}")
-        elif not _close(float(va), float(vb), relative=relative):
-            diffs.append(f"{section}.{key}: {va} vs {vb}")
-
-    for key in ("mean_cell_width", "mean_cell_height", "std_cell_width", "std_cell_height"):
-        compare("grid_metrics", key, relative=True)
-    for key in ("n_rows", "n_cols"):
-        compare("grid_metrics", key, relative=False)
-    for key in (
-        "true_functional_pred_functional",
-        "true_functional_pred_defect",
-        "true_defect_pred_functional",
-        "true_defect_pred_defect",
-    ):
-        compare("confusion", key, relative=False)
-    for key in ("accuracy", "false_negative_rate", "false_positive_rate"):
-        compare("confusion", key, relative=False)
-    for key in ("raw_mean", "raw_sem", "denoised_mean", "denoised_sem"):
-        compare("les_stats", key, relative=True)
-    for key in ("raw_count", "denoised_count"):
-        compare("les_stats", key, relative=False)
+    for name in COMPARED_SECTIONS:
+        for key in dict.fromkeys([*a[name], *b[name]]):
+            va, vb = a[name].get(key), b[name].get(key)
+            if va is None or vb is None:
+                same = False
+            elif isinstance(va, int) and isinstance(vb, int):
+                same = va == vb
+            else:
+                same = _close(float(va), float(vb), relative=name != "confusion")
+            if not same:
+                diffs.append(f"{name}.{key}: {va} vs {vb}")
 
     if diffs:
         for line in diffs:

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .features import CellFeatures
 from .grid import PixelGrid
 from .io import DefectMap
-from .ml import STATUS_DEFECT, STATUS_FUNCTIONAL
 
 
 @dataclass(frozen=True)
@@ -100,50 +98,40 @@ class LesStats:
             raise EvaluationError("negative standard error")
 
 
-def confusion(predicted: list[str], truth: DefectMap, grid: PixelGrid) -> ConfusionMatrix:
+def confusion(defective: np.ndarray, truth: DefectMap, grid: PixelGrid) -> ConfusionMatrix:
     """Score interior-cell predictions against the ground-truth map.
 
-    The prediction list must cover exactly the interior cells in row-major
+    The defective mask must cover exactly the interior cells in row-major
     order, and the truth map must match the full reconstructed grid.
     """
-    cells = grid.interior_cells()
-    if len(predicted) != len(cells):
-        raise EvaluationError(f"{len(predicted)} predictions for {len(cells)} interior cells")
+    predicted = np.asarray(defective, dtype=bool)
+    n_cells = int(np.count_nonzero(grid.interior))
+    if len(predicted) != n_cells:
+        raise EvaluationError(f"{len(predicted)} predictions for {n_cells} interior cells")
     if truth.rows != grid.n_rows or truth.cols != grid.n_cols:
         raise EvaluationError(
             f"truth map {truth.rows}x{truth.cols} does not match grid "
             f"{grid.n_rows}x{grid.n_cols}"
         )
-    tf_pf = tf_pd = td_pf = td_pd = 0
-    for status, (row, col) in zip(predicted, cells):
-        if status not in (STATUS_FUNCTIONAL, STATUS_DEFECT):
-            raise EvaluationError(f"unknown status {status!r} at cell ({row},{col})")
-        is_defect = bool(truth.defective[row, col])
-        pred_defect = status == STATUS_DEFECT
-        if is_defect:
-            if pred_defect:
-                td_pd += 1
-            else:
-                td_pf += 1
-        else:
-            if pred_defect:
-                tf_pd += 1
-            else:
-                tf_pf += 1
-    return ConfusionMatrix.from_counts(tf_pf, tf_pd, td_pf, td_pd)
+    actual = truth.defective[grid.interior]
+    return ConfusionMatrix.from_counts(
+        int(np.count_nonzero(~actual & ~predicted)),
+        int(np.count_nonzero(~actual & predicted)),
+        int(np.count_nonzero(actual & ~predicted)),
+        int(np.count_nonzero(actual & predicted)),
+    )
 
 
-def les_statistics(features: list[CellFeatures], predicted: list[str]) -> LesStats:
-    """Raw (all interior cells) vs denoised (functional-labeled only) means."""
-    if not features:
+def les_statistics(mean_l: np.ndarray, defective: np.ndarray) -> LesStats:
+    """Raw (all interior cells) vs denoised (cells not marked defective) means."""
+    values = np.asarray(mean_l, dtype=np.float64)
+    if not len(values):
         raise EvaluationError("no cells to aggregate")
-    if len(features) != len(predicted):
-        raise EvaluationError(f"{len(predicted)} labels for {len(features)} cells")
-    values = np.array([f.mean_l for f in features])
-    keep = np.array([status == STATUS_FUNCTIONAL for status in predicted])
-    if not keep.any():
+    if len(values) != len(defective):
+        raise EvaluationError(f"{len(defective)} labels for {len(values)} cells")
+    functional = values[~np.asarray(defective, dtype=bool)]
+    if not len(functional):
         raise EvaluationError("no functional-labeled cells; denoised mean undefined")
-    functional = values[keep]
     return LesStats(
         raw_mean=float(values.mean()),
         raw_sem=float(values.std() / np.sqrt(len(values))),

@@ -8,7 +8,6 @@ border samples, which mix cell and gap light, out of the statistics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,108 +19,108 @@ from .io import MeasurementFrame
 MARGIN_PX = 1.0
 NEUTRAL_CHROMA = 0.5
 
-CSV_HEADER = "row,col,mean_l,max_l,min_l,std_l,mean_cx,mean_cy"
+COLUMNS = ("mean_l", "max_l", "min_l", "std_l", "mean_cx", "mean_cy")
+CSV_HEADER = ",".join(("row", "col") + COLUMNS)
 
 
 @dataclass(frozen=True)
-class CellFeatures:
-    row: int
-    col: int
-    mean_l: float
-    max_l: float
-    min_l: float
-    std_l: float
-    mean_cx: float
-    mean_cy: float
+class CellTable:
+    """Descriptors of the interior cells, one row per cell in row-major order.
+
+    rows and cols are the grid indices of each cell; column k of the n x 6
+    values matrix is the descriptor COLUMNS[k].
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        scale = max(abs(self.max_l), 1.0)
-        tol = 1e-9 * scale
-        if not (self.min_l - tol <= self.mean_l <= self.max_l + tol):
+        if len(self.cols) != len(self.rows) or self.values.shape != (len(self.rows), len(COLUMNS)):
             raise ValidationError(
-                f"cell ({self.row},{self.col}): mean {self.mean_l} outside [min, max]"
+                f"cell table shape mismatch: {len(self.rows)} rows, {len(self.cols)} cols, "
+                f"values {self.values.shape}"
             )
-        if self.std_l < -tol:
-            raise ValidationError(f"cell ({self.row},{self.col}): negative std {self.std_l}")
-        # Popoviciu: population std can never exceed half the value range.
-        if self.std_l > (self.max_l - self.min_l) / 2.0 + tol:
+        mean, high, low, std, cx, cy = self.values.T
+        tol = 1e-9 * np.maximum(np.abs(high), 1.0)
+        # One mask per invariant, in the order a cell's checks are reported.
+        checks = (
+            (~((low - tol <= mean) & (mean <= high + tol)), "mean {mean_l} outside [min, max]"),
+            (std < -tol, "negative std {std_l}"),
+            # Popoviciu: population std can never exceed half the value range.
+            (std > (high - low) / 2.0 + tol, "std {std_l} exceeds range bound"),
+            (~((-1e-9 <= cx) & (cx <= 1.0 + 1e-9)), "mean_cx={mean_cx} outside [0, 1]"),
+            (~((-1e-9 <= cy) & (cy <= 1.0 + 1e-9)), "mean_cy={mean_cy} outside [0, 1]"),
+        )
+        bad = np.stack([mask for mask, _ in checks])
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=0)))
+            message = checks[int(np.argmax(bad[:, i]))][1]
             raise ValidationError(
-                f"cell ({self.row},{self.col}): std {self.std_l} exceeds range bound"
+                f"cell ({self.rows[i]},{self.cols[i]}): "
+                + message.format(**dict(zip(COLUMNS, self.values[i].tolist())))
             )
-        for name in ("mean_cx", "mean_cy"):
-            value = getattr(self, name)
-            if not -1e-9 <= value <= 1.0 + 1e-9:
-                raise ValidationError(f"cell ({self.row},{self.col}): {name}={value} outside [0, 1]")
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.mean_l, self.max_l, self.min_l, self.std_l, self.mean_cx, self.mean_cy])
+    def __len__(self) -> int:
+        return len(self.rows)
 
-
-def _sample_range(lo: float, hi: float) -> tuple[int, int]:
-    """Indices i whose centers i+0.5 lie in [lo + margin, hi - margin)."""
-    first = math.ceil(lo + MARGIN_PX - 0.5)
-    last = math.ceil(hi - MARGIN_PX - 0.5) - 1
-    return first, last
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, COLUMNS.index(name)]
 
 
-def extract(frame: MeasurementFrame, grid: PixelGrid) -> list[CellFeatures]:
+def _sample_ranges(edges: np.ndarray, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell, the first and last index i whose center i+0.5 lies in
+    [lo + margin, hi - margin), clamped to the samples 0..n_samples-1."""
+    first = np.ceil(edges[:-1] + MARGIN_PX - 0.5).astype(np.int64)
+    last = np.ceil(edges[1:] - MARGIN_PX - 0.5).astype(np.int64) - 1
+    return np.maximum(first, 0), np.minimum(last, n_samples - 1)
+
+
+def extract(frame: MeasurementFrame, grid: PixelGrid) -> CellTable:
     """Descriptors for every interior cell, row-major.
 
+    Cells are gathered in groups of one block shape, so each statistic is one
+    reduction per group over an (n, h, w) array.  The results are
+    bit-identical to reducing each cell's block on its own; the tests keep
+    that per-cell loop as the reference.
+
     Raises FeatureExtractionError when a cell retains no samples after the
-    margin, naming the cell.
+    margin, naming the first such cell.
     """
     if grid.x_edges[-1] > frame.width + 0.5 or grid.y_edges[-1] > frame.height + 0.5:
         raise FeatureExtractionError(
             f"grid extends to ({grid.x_edges[-1]}, {grid.y_edges[-1]}) "
             f"outside frame {frame.width}x{frame.height}"
         )
-    lum = frame.luminance.astype(np.float64)
-    chroma_x = frame.chroma_x.astype(np.float64) if frame.has_chroma else None
-    chroma_y = frame.chroma_y.astype(np.float64) if frame.has_chroma else None
+    rows, cols = np.nonzero(grid.interior)
+    x_first, x_last = _sample_ranges(grid.x_edges, frame.width)
+    y_first, y_last = _sample_ranges(grid.y_edges, frame.height)
+    i0, j0 = x_first[cols], y_first[rows]
+    widths = x_last[cols] - i0 + 1
+    heights = y_last[rows] - j0 + 1
+    empty = (widths < 1) | (heights < 1)
+    if empty.any():
+        k = int(np.argmax(empty))
+        raise FeatureExtractionError(f"cell ({rows[k]},{cols[k]}) has no samples after margin")
 
-    out: list[CellFeatures] = []
-    for row in range(grid.n_rows):
-        for col in range(grid.n_cols):
-            if not grid.interior[row, col]:
-                continue
-            i0, i1 = _sample_range(grid.x_edges[col], grid.x_edges[col + 1])
-            j0, j1 = _sample_range(grid.y_edges[row], grid.y_edges[row + 1])
-            i0, j0 = max(i0, 0), max(j0, 0)
-            i1, j1 = min(i1, frame.width - 1), min(j1, frame.height - 1)
-            if i1 < i0 or j1 < j0:
-                raise FeatureExtractionError(f"cell ({row},{col}) has no samples after margin")
-            block = lum[j0 : j1 + 1, i0 : i1 + 1]
-            if chroma_x is not None:
-                mean_cx = float(chroma_x[j0 : j1 + 1, i0 : i1 + 1].mean())
-                mean_cy = float(chroma_y[j0 : j1 + 1, i0 : i1 + 1].mean())
-            else:
-                mean_cx = mean_cy = NEUTRAL_CHROMA
-            out.append(
-                CellFeatures(
-                    row=row,
-                    col=col,
-                    mean_l=float(block.mean()),
-                    max_l=float(block.max()),
-                    min_l=float(block.min()),
-                    std_l=float(block.std()),
-                    mean_cx=mean_cx,
-                    mean_cy=mean_cy,
-                )
-            )
-    return out
+    values = np.empty((len(rows), len(COLUMNS)))
+    if not frame.has_chroma:
+        values[:, 4:] = NEUTRAL_CHROMA
+    for h, w in np.unique(np.stack([heights, widths], axis=1), axis=0).tolist():
+        group = np.flatnonzero((heights == h) & (widths == w))
+        ys = (j0[group, None] + np.arange(h))[:, :, None]
+        xs = (i0[group, None] + np.arange(w))[:, None, :]
+        lum = frame.luminance[ys, xs].astype(np.float64)
+        for k, reduce in enumerate((np.mean, np.max, np.min, np.std)):
+            values[group, k] = reduce(lum, axis=(1, 2))
+        if frame.has_chroma:
+            values[group, 4] = frame.chroma_x[ys, xs].astype(np.float64).mean(axis=(1, 2))
+            values[group, 5] = frame.chroma_y[ys, xs].astype(np.float64).mean(axis=(1, 2))
+    return CellTable(rows=rows, cols=cols, values=values)
 
 
-def feature_matrix(features: list[CellFeatures]) -> np.ndarray:
-    """Stack descriptors into the n x 6 matrix consumed by the ml stage."""
-    if not features:
-        raise FeatureExtractionError("no features to stack")
-    return np.stack([f.vector() for f in features])
-
-
-def to_csv(features: list[CellFeatures]) -> str:
+def to_csv(table: CellTable) -> str:
     lines = [CSV_HEADER]
-    for f in features:
-        lines.append(
-            f"{f.row},{f.col},{f.mean_l!r},{f.max_l!r},{f.min_l!r},{f.std_l!r},{f.mean_cx!r},{f.mean_cy!r}"
-        )
+    for row, col, cell in zip(table.rows.tolist(), table.cols.tolist(), table.values.tolist()):
+        lines.append(f"{row},{col}," + ",".join(map(repr, cell)))
     return "\n".join(lines) + "\n"

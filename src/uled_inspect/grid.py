@@ -69,10 +69,6 @@ class PixelGrid:
     def n_cols(self) -> int:
         return len(self.x_edges) - 1
 
-    def interior_cells(self) -> list[tuple[int, int]]:
-        rows, cols = np.nonzero(self.interior)
-        return list(zip(rows.tolist(), cols.tolist()))
-
     def to_json(self) -> str:
         return json.dumps(
             {"x_edges": self.x_edges.tolist(), "y_edges": self.y_edges.tolist()},

@@ -19,24 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MlError
-from .features import CellFeatures
 from .rng import SplitMix64, mix
 
-STATUS_FUNCTIONAL = "functional"
-STATUS_DEFECT = "defect"
-
 _JACOBI_MAX_SWEEPS = 64
-
-
-@dataclass(frozen=True)
-class Standardizer:
-    """Per-feature centering and scaling; zero-variance features keep scale 1."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=np.float64) - self.mean) / self.scale
 
 
 @dataclass(frozen=True)
@@ -68,10 +53,10 @@ class KMeansModel:
     config: KMeansConfig = field(default_factory=KMeansConfig)
 
 
-def standardize_fit_transform(X) -> tuple[Standardizer, np.ndarray]:
+def standardize_fit_transform(X) -> np.ndarray:
     """Center each column and scale it to unit population std.
 
-    Zero-variance columns become all-zero and record scale 1, so constant
+    Zero-variance columns become all-zero (they keep scale 1), so constant
     features (e.g. the 0.5 chroma fill of luminance-only frames) drop out of
     the analysis instead of poisoning it.
     """
@@ -83,8 +68,7 @@ def standardize_fit_transform(X) -> tuple[Standardizer, np.ndarray]:
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     scale = np.where(std > 0.0, std, 1.0)
-    model = Standardizer(mean=mean, scale=scale)
-    return model, (X - mean) / scale
+    return (X - mean) / scale
 
 
 def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
@@ -251,40 +235,31 @@ def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: in
 SEPARATION_FACTOR = 4.0
 
 
-def label_clusters(model: KMeansModel, features: list[CellFeatures]) -> tuple[list[str], bool]:
-    """Map cluster indices to functional/defect by average cell brightness.
+def label_clusters(model: KMeansModel, mean_l: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Mark the cells of the dimmer cluster defective, by average cell brightness.
 
-    The cluster with the higher mean of mean_l is 'functional'.  The split is
+    The cluster with the higher average of mean_l is functional.  The split is
     degenerate when all points share one cluster or, for k=2, when the
     centroid distance is below SEPARATION_FACTOR times the RMS within-cluster
     distance: k-means always cuts the cloud in two, and on a defect-free
     surface that cut runs through the middle of the functional population.  A
-    degenerate split labels every cell functional and sets the flag.
+    degenerate split marks no cell defective and sets the flag.
 
     Returns:
-        (status per cell, degenerate_flag)
+        (defective mask per cell, degenerate_flag)
     """
-    if len(model.labels) != len(features):
-        raise MlError(f"{len(model.labels)} labels for {len(features)} cells")
+    mean_l = np.asarray(mean_l, dtype=np.float64)
+    if len(model.labels) != len(mean_l):
+        raise MlError(f"{len(model.labels)} labels for {len(mean_l)} cells")
+    all_functional = np.zeros(len(mean_l), dtype=bool)
     present = np.unique(model.labels)
     if len(present) <= 1:
-        return [STATUS_FUNCTIONAL] * len(features), True
+        return all_functional, True
     if len(present) == 2:
         distance = float(np.linalg.norm(model.centroids[present[0]] - model.centroids[present[1]]))
         spread = float(np.sqrt(model.inertia / len(model.labels)))
         if distance < SEPARATION_FACTOR * spread:
-            return [STATUS_FUNCTIONAL] * len(features), True
-    mean_l = np.array([f.mean_l for f in features])
+            return all_functional, True
     averages = {int(j): float(mean_l[model.labels == j].mean()) for j in present}
     functional = max(sorted(averages), key=lambda j: averages[j])
-    statuses = [
-        STATUS_FUNCTIONAL if int(label) == functional else STATUS_DEFECT for label in model.labels
-    ]
-    return statuses, False
-
-
-def projection_to_csv(Y: np.ndarray, labels: np.ndarray) -> str:
-    lines = ["pc1,pc2,cluster"]
-    for (p1, p2), label in zip(np.asarray(Y).tolist(), np.asarray(labels).tolist()):
-        lines.append(f"{p1!r},{p2!r},{label}")
-    return "\n".join(lines) + "\n"
+    return model.labels != functional, False

@@ -16,7 +16,7 @@ import math
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,9 @@ from . import evaluation, features, geometry, grid, io, ml
 from .errors import ConfigError, PipelineStageError
 
 RECTIFY_MARGIN_PX = 10.0
+
+STATUS_FUNCTIONAL = "functional"
+STATUS_DEFECT = "defect"
 
 ARTIFACT_NAMES = (
     "report.json",
@@ -64,8 +67,8 @@ class ClassificationReport:
     grid_metrics: grid.GridMetrics
     confusion: evaluation.ConfusionMatrix | None
     les_stats: evaluation.LesStats
-    statuses: list[str]
-    cell_features: list[features.CellFeatures]
+    defective: np.ndarray
+    cells: features.CellTable
     pixel_grid: grid.PixelGrid
 
 
@@ -90,7 +93,7 @@ def _stage(name: str):
         yield
     except PipelineStageError:
         raise
-    except BaseException as exc:
+    except Exception as exc:
         raise PipelineStageError(name, exc) from exc
 
 
@@ -118,21 +121,23 @@ def _heat_color(value: float) -> str:
     return f"#{level:02x}{level:02x}{level:02x}"
 
 
-def _overlay_svg(pixel_grid: grid.PixelGrid, cell_features, statuses) -> str:
+def _overlay_svg(pixel_grid: grid.PixelGrid, cells: features.CellTable, defective: np.ndarray) -> str:
     xs, ys = pixel_grid.x_edges, pixel_grid.y_edges
     width, height = xs[-1] + xs[0], ys[-1] + ys[0]
-    peak = max((f.mean_l for f in cell_features), default=1.0) or 1.0
+    mean_l = cells.column("mean_l")
+    peak = float(mean_l.max()) or 1.0
+    x0, x1 = xs[cells.cols], xs[cells.cols + 1]
+    y0, y1 = ys[cells.rows], ys[cells.rows + 1]
+    rects = [
+        f'x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}"'
+        for x, y, w, h in zip(x0.tolist(), y0.tolist(), (x1 - x0).tolist(), (y1 - y0).tolist())
+    ]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:.1f} {height:.1f}">',
         f'<rect x="0" y="0" width="{width:.1f}" height="{height:.1f}" fill="black"/>',
     ]
-    for f in cell_features:
-        x0, x1 = xs[f.col], xs[f.col + 1]
-        y0, y1 = ys[f.row], ys[f.row + 1]
-        parts.append(
-            f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" height="{y1 - y0:.2f}" '
-            f'fill="{_heat_color(f.mean_l / peak)}"/>'
-        )
+    for rect, level in zip(rects, (mean_l / peak).tolist()):
+        parts.append(f'<rect {rect} fill="{_heat_color(level)}"/>')
     for x in xs:
         parts.append(
             f'<line x1="{x:.2f}" y1="{ys[0]:.2f}" x2="{x:.2f}" y2="{ys[-1]:.2f}" '
@@ -143,16 +148,25 @@ def _overlay_svg(pixel_grid: grid.PixelGrid, cell_features, statuses) -> str:
             f'<line x1="{xs[0]:.2f}" y1="{y:.2f}" x2="{xs[-1]:.2f}" y2="{y:.2f}" '
             'stroke="#3366cc" stroke-width="0.5"/>'
         )
-    for f, status in zip(cell_features, statuses):
-        if status == ml.STATUS_DEFECT:
-            x0, x1 = xs[f.col], xs[f.col + 1]
-            y0, y1 = ys[f.row], ys[f.row + 1]
-            parts.append(
-                f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" height="{y1 - y0:.2f}" '
-                'fill="none" stroke="#dd2222" stroke-width="1.2"/>'
-            )
+    for rect, bad in zip(rects, defective.tolist()):
+        if bad:
+            parts.append(f'<rect {rect} fill="none" stroke="#dd2222" stroke-width="1.2"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _per_cell(cells: features.CellTable, defective: np.ndarray, truth: io.DefectMap | None) -> list[dict]:
+    """The report's per-cell entries: grid position, descriptors and statuses."""
+    columns = {
+        "row": cells.rows.tolist(),
+        "col": cells.cols.tolist(),
+        **{name: cells.values[:, k].tolist() for k, name in enumerate(features.COLUMNS)},
+        "predicted": np.where(defective, STATUS_DEFECT, STATUS_FUNCTIONAL).tolist(),
+    }
+    if truth is not None:
+        actual = truth.defective[cells.rows, cells.cols]
+        columns["truth"] = np.where(actual, STATUS_DEFECT, STATUS_FUNCTIONAL).tolist()
+    return [dict(zip(columns, entry)) for entry in zip(*columns.values())]
 
 
 def run(config: PipelineConfig) -> ClassificationReport:
@@ -185,75 +199,38 @@ def run(config: PipelineConfig) -> ClassificationReport:
     with _stage("cell_metrics"):
         metrics = grid.cell_size(pixel_grid)
     with _stage("features"):
-        cell_features = features.extract(rectified, pixel_grid)
+        cells = features.extract(rectified, pixel_grid)
     with _stage("classify"):
-        matrix = features.feature_matrix(cell_features)
-        _, standardized = ml.standardize_fit_transform(matrix)
+        standardized = ml.standardize_fit_transform(cells.values)
         pca = ml.pca_fit(standardized)
         projected = ml.pca_transform(pca, standardized)
         model = ml.kmeans_fit(projected, config.kmeans, threads=threads)
-        statuses, degenerate = ml.label_clusters(model, cell_features)
+        mean_l = cells.column("mean_l")
+        defective, degenerate = ml.label_clusters(model, mean_l)
 
     confusion_matrix = None
     if truth is not None:
         with _stage("confusion"):
-            confusion_matrix = evaluation.confusion(statuses, truth, pixel_grid)
+            confusion_matrix = evaluation.confusion(defective, truth, pixel_grid)
     with _stage("les_stats"):
-        les = evaluation.les_statistics(cell_features, statuses)
+        les = evaluation.les_statistics(mean_l, defective)
 
     flags = {
         "degenerate_clustering": degenerate,
         "confusion_skipped": truth is None,
-        "fnr_undefined": bool(confusion_matrix.fnr_undefined) if confusion_matrix else False,
-        "fpr_undefined": bool(confusion_matrix.fpr_undefined) if confusion_matrix else False,
+        "fnr_undefined": False,
+        "fpr_undefined": False,
     }
-    per_cell = []
-    for f, status in zip(cell_features, statuses):
-        entry = {
-            "row": f.row,
-            "col": f.col,
-            "mean_l": f.mean_l,
-            "max_l": f.max_l,
-            "min_l": f.min_l,
-            "std_l": f.std_l,
-            "mean_cx": f.mean_cx,
-            "mean_cy": f.mean_cy,
-            "predicted": status,
-        }
-        if truth is not None:
-            entry["truth"] = (
-                ml.STATUS_DEFECT if truth.defective[f.row, f.col] else ml.STATUS_FUNCTIONAL
-            )
-        per_cell.append(entry)
+    confusion_section = None
+    if confusion_matrix is not None:
+        confusion_section = asdict(confusion_matrix)
+        for key in ("fnr_undefined", "fpr_undefined"):
+            flags[key] = confusion_section.pop(key)
     report = {
-        "grid_metrics": {
-            "mean_cell_width": metrics.mean_cell_width,
-            "mean_cell_height": metrics.mean_cell_height,
-            "std_cell_width": metrics.std_cell_width,
-            "std_cell_height": metrics.std_cell_height,
-            "n_rows": pixel_grid.n_rows,
-            "n_cols": pixel_grid.n_cols,
-        },
-        "confusion": None
-        if confusion_matrix is None
-        else {
-            "true_functional_pred_functional": confusion_matrix.true_functional_pred_functional,
-            "true_functional_pred_defect": confusion_matrix.true_functional_pred_defect,
-            "true_defect_pred_functional": confusion_matrix.true_defect_pred_functional,
-            "true_defect_pred_defect": confusion_matrix.true_defect_pred_defect,
-            "accuracy": confusion_matrix.accuracy,
-            "false_negative_rate": confusion_matrix.false_negative_rate,
-            "false_positive_rate": confusion_matrix.false_positive_rate,
-        },
-        "les_stats": {
-            "raw_mean": les.raw_mean,
-            "raw_sem": les.raw_sem,
-            "denoised_mean": les.denoised_mean,
-            "denoised_sem": les.denoised_sem,
-            "raw_count": les.raw_count,
-            "denoised_count": les.denoised_count,
-        },
-        "per_cell": per_cell,
+        "grid_metrics": {**asdict(metrics), "n_rows": pixel_grid.n_rows, "n_cols": pixel_grid.n_cols},
+        "confusion": confusion_section,
+        "les_stats": asdict(les),
+        "per_cell": _per_cell(cells, defective, truth),
         "flags": flags,
     }
 
@@ -264,9 +241,9 @@ def run(config: PipelineConfig) -> ClassificationReport:
             "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
             "projections_x.csv": proj_x.to_csv(),
             "projections_y.csv": proj_y.to_csv(),
-            "features.csv": features.to_csv(cell_features),
+            "features.csv": features.to_csv(cells),
             "grid.json": pixel_grid.to_json() + "\n",
-            "overlay.svg": _overlay_svg(pixel_grid, cell_features, statuses),
+            "overlay.svg": _overlay_svg(pixel_grid, cells, defective),
         }
         # Staged inside out_dir, not beside it, so the renames never cross a
         # filesystem boundary (out_dir may be a mount point) and need no write
@@ -286,7 +263,7 @@ def run(config: PipelineConfig) -> ClassificationReport:
         grid_metrics=metrics,
         confusion=confusion_matrix,
         les_stats=les,
-        statuses=statuses,
-        cell_features=cell_features,
+        defective=defective,
+        cells=cells,
         pixel_grid=pixel_grid,
     )

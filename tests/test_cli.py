@@ -213,6 +213,46 @@ def test_evaluate_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        ([], "not an object"),
+        ({"grid_metrics": {"mean_cell_width": "x"}}, "grid_metrics.mean_cell_width is not a number"),
+        ({"les_stats": [1.0]}, "les_stats is neither an object nor null"),
+    ],
+    ids=["top_level_list", "string_value", "list_section"],
+)
+def test_evaluate_malformed_report_exits_2(tmp_path, capsys, payload, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code = main(["evaluate", "--report", str(bad), "--report", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot read report {bad}: ")
+    assert reason in captured.err
+    assert captured.out == ""
+
+
+def test_evaluate_compares_every_numeric_field(generated, tmp_path, capsys):
+    _, frame, defects = generated
+    report = analyze_to_report(frame, defects, tmp_path / "out")
+    capsys.readouterr()
+    payload = json.loads(report.read_text())
+    payload["grid_metrics"]["n_rows"] += 1  # ints exactly
+    payload["les_stats"]["raw_sem"] *= 1.01  # other floats relatively
+    payload["confusion"]["false_negative_rate"] += 5e-4  # rates absolutely, within 1e-3
+    payload["grid_metrics"]["mean_cell_width"] *= 1 + 5e-4  # within 1e-3 relative
+    payload["les_stats"]["extra_figure"] = 1.0  # a key only one report carries
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(payload))
+    code = main(["evaluate", "--report", str(report), "--report", str(other)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 4
+    assert sorted(line.split(":")[0] for line in lines) == [
+        "grid_metrics.n_rows", "les_stats.extra_figure", "les_stats.raw_sem",
+    ]
+
+
 def test_evaluate_needs_two_reports(tmp_path, capsys):
     code = main(["evaluate", "--report", str(tmp_path / "only.json")])
     assert code == 2

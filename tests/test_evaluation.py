@@ -4,7 +4,6 @@ import pytest
 from uled_inspect import evaluation, grid
 from uled_inspect.errors import EvaluationError
 from uled_inspect.evaluation import ConfusionMatrix, LesStats, confusion, les_statistics
-from uled_inspect.features import CellFeatures
 from uled_inspect.io import DefectMap
 
 
@@ -13,20 +12,14 @@ def grid_with_interior(n_interior_side):
     return grid.build_grid(edges, edges)
 
 
-def make_features(values):
-    return [
-        CellFeatures(1 + i // 10, 1 + i % 10, v, v + 1.0, max(v - 1.0, 0.0), 0.3, 0.31, 0.32)
-        for i, v in enumerate(values)
-    ]
+def mask(*defective):
+    return np.array(defective, dtype=bool)
 
 
 def test_confusion_perfect_prediction():
     g = grid_with_interior(10)  # 10x10 interior cells
     truth = DefectMap.from_cells(12, 12, [(1, 1), (5, 5), (9, 9)])
-    predicted = []
-    for row, col in g.interior_cells():
-        predicted.append("defect" if truth.defective[row, col] else "functional")
-    matrix = confusion(predicted, truth, g)
+    matrix = confusion(truth.defective[1:-1, 1:-1].ravel(), truth, g)
     assert matrix.accuracy == 1.0
     assert matrix.false_negative_rate == 0.0
     assert matrix.false_positive_rate == 0.0
@@ -37,8 +30,7 @@ def test_confusion_perfect_prediction():
 def test_confusion_all_functional_prediction():
     g = grid_with_interior(10)
     truth = DefectMap.from_cells(12, 12, [(1, 1), (5, 5), (9, 9)])
-    predicted = ["functional"] * 100
-    matrix = confusion(predicted, truth, g)
+    matrix = confusion(np.zeros(100, dtype=bool), truth, g)
     assert matrix.accuracy == pytest.approx(0.97)
     assert matrix.false_positive_rate == 1.0
     assert matrix.false_negative_rate == 0.0
@@ -48,23 +40,16 @@ def test_confusion_dimension_mismatch():
     g = grid_with_interior(10)
     truth = DefectMap.from_cells(9, 9, [])
     with pytest.raises(EvaluationError, match="does not match"):
-        confusion(["functional"] * 100, truth, g)
+        confusion(np.zeros(100, dtype=bool), truth, g)
     truth_ok = DefectMap.from_cells(12, 12, [])
     with pytest.raises(EvaluationError, match="predictions"):
-        confusion(["functional"] * 99, truth_ok, g)
-
-
-def test_confusion_unknown_status():
-    g = grid_with_interior(10)
-    truth = DefectMap.from_cells(12, 12, [])
-    with pytest.raises(EvaluationError, match="unknown status"):
-        confusion(["broken"] * 100, truth, g)
+        confusion(np.zeros(99, dtype=bool), truth_ok, g)
 
 
 def test_confusion_zero_defect_population_flagged():
     g = grid_with_interior(10)
     truth = DefectMap.from_cells(12, 12, [])
-    matrix = confusion(["functional"] * 100, truth, g)
+    matrix = confusion(np.zeros(100, dtype=bool), truth, g)
     assert matrix.false_positive_rate == 0.0
     assert matrix.fpr_undefined
     assert not matrix.fnr_undefined
@@ -84,16 +69,14 @@ def test_confusion_matrix_consistency_enforced():
 
 
 def test_les_all_functional_raw_equals_denoised():
-    feats = make_features([100.0, 120.0, 90.0])
-    stats = les_statistics(feats, ["functional"] * 3)
+    stats = les_statistics(np.array([100.0, 120.0, 90.0]), mask(0, 0, 0))
     assert stats.raw_mean == stats.denoised_mean
     assert stats.raw_sem == stats.denoised_sem
     assert stats.raw_count == stats.denoised_count == 3
 
 
 def test_les_defect_exclusion_arithmetic():
-    feats = make_features([100.0, 100.0, 0.0])
-    stats = les_statistics(feats, ["functional", "functional", "defect"])
+    stats = les_statistics(np.array([100.0, 100.0, 0.0]), mask(0, 0, 1))
     assert stats.raw_mean == pytest.approx(200.0 / 3.0)
     assert stats.denoised_mean == 100.0
     assert stats.denoised_sem == 0.0
@@ -102,24 +85,21 @@ def test_les_defect_exclusion_arithmetic():
 
 def test_les_sem_scales_inverse_sqrt_n():
     rng = np.random.default_rng(6)
-    values = rng.uniform(50, 150, size=40).tolist()
-    small = les_statistics(make_features(values), ["functional"] * 40)
+    values = rng.uniform(50, 150, size=40)
+    small = les_statistics(values, np.zeros(40, dtype=bool))
     # same population replicated 4x: std identical, sem exactly halves
-    big_feats = make_features(values * 4)
-    big = les_statistics(big_feats, ["functional"] * 160)
+    big = les_statistics(np.tile(values, 4), np.zeros(160, dtype=bool))
     assert big.raw_sem == pytest.approx(small.raw_sem / 2.0, rel=1e-12)
 
 
 def test_les_zero_functional_rejected():
-    feats = make_features([1.0, 2.0])
     with pytest.raises(EvaluationError, match="functional"):
-        les_statistics(feats, ["defect", "defect"])
+        les_statistics(np.array([1.0, 2.0]), mask(1, 1))
 
 
 def test_les_label_length_mismatch():
-    feats = make_features([1.0, 2.0])
     with pytest.raises(EvaluationError):
-        les_statistics(feats, ["functional"])
+        les_statistics(np.array([1.0, 2.0]), mask(0))
 
 
 def test_denoised_at_least_raw_when_defects_below_mean():
@@ -128,11 +108,11 @@ def test_denoised_at_least_raw_when_defects_below_mean():
         n = int(rng.integers(4, 40))
         values = rng.uniform(10, 200, size=n)
         raw_mean = values.mean()
-        labels = ["defect" if v < raw_mean and rng.uniform() < 0.5 else "functional" for v in values]
-        if all(label == "defect" for label in labels):
+        defective = np.array([v < raw_mean and rng.uniform() < 0.5 for v in values])
+        if defective.all():
             continue
-        stats = les_statistics(make_features(values.tolist()), labels)
-        if all(values[i] < stats.raw_mean for i, label in enumerate(labels) if label == "defect"):
+        stats = les_statistics(values, defective)
+        if np.all(values[defective] < stats.raw_mean):
             assert stats.denoised_mean >= stats.raw_mean
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from uled_inspect import ml
 from uled_inspect.errors import MlError
-from uled_inspect.features import CellFeatures
 from uled_inspect.ml import (
     KMeansConfig,
     kmeans_fit,
@@ -40,23 +39,21 @@ def exhaustive_two_partition_minimum(Y):
 
 def test_standardize_two_point_column():
     X = np.array([[1.0], [3.0]])
-    model, Z = standardize_fit_transform(X)
+    Z = standardize_fit_transform(X)
     assert Z[:, 0].tolist() == [-1.0, 1.0]
-    assert model.mean[0] == 2.0 and model.scale[0] == 1.0
 
 
 def test_standardize_constant_column_scale_one():
     X = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
-    model, Z = standardize_fit_transform(X)
+    Z = standardize_fit_transform(X)
     assert np.all(Z[:, 0] == 0.0)
-    assert model.scale[0] == 1.0
 
 
 def test_standardize_idempotent():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 6)) * rng.uniform(0.5, 20, 6) + rng.uniform(-5, 5, 6)
-    _, Z = standardize_fit_transform(X)
-    _, Z2 = standardize_fit_transform(Z)
+    Z = standardize_fit_transform(X)
+    Z2 = standardize_fit_transform(Z)
     assert np.abs(Z2 - Z).max() < 1e-9
 
 
@@ -145,7 +142,7 @@ def test_pca_transform_components_give_identity():
 
 def test_pca_transform_variance_matches_explained():
     rng = np.random.default_rng(4)
-    Z = standardize_fit_transform(rng.normal(size=(300, 6)) * rng.uniform(0.2, 5, 6))[1]
+    Z = standardize_fit_transform(rng.normal(size=(300, 6)) * rng.uniform(0.2, 5, 6))
     model = pca_fit(Z)
     Y = pca_transform(model, Z)
     variances = Y.var(axis=0)
@@ -239,57 +236,43 @@ def test_kmeans_inertia_is_assignment_consistent():
 # ------------------------------------------------------------- label_clusters
 
 
-def features_with_means(means):
-    return [
-        CellFeatures(1, c + 1, m, m + 1.0, m - 1.0, 0.5, 0.31, 0.32)
-        for c, m in enumerate(means)
-    ]
-
-
 def test_label_clusters_brightness_ordering():
-    feats = features_with_means([280e4, 281e4, 5e4, 6e4])
+    mean_l = np.array([280e4, 281e4, 5e4, 6e4])
     model = ml.KMeansModel(
         centroids=np.array([[0.0, 0.0], [50.0, 0.0]]),
         labels=np.array([0, 0, 1, 1]),
         inertia=1.0,
         config=KMeansConfig(),
     )
-    statuses, degenerate = label_clusters(model, feats)
-    assert statuses == ["functional", "functional", "defect", "defect"]
+    defective, degenerate = label_clusters(model, mean_l)
+    assert defective.tolist() == [False, False, True, True]
     assert not degenerate
 
 
 def test_label_clusters_all_one_cluster_degenerate():
-    feats = features_with_means([10.0, 10.0, 10.0])
+    mean_l = np.array([10.0, 10.0, 10.0])
     model = ml.KMeansModel(
         centroids=np.array([[0.0, 0.0], [0.0, 0.0]]),
         labels=np.zeros(3, dtype=np.int64),
         inertia=0.0,
         config=KMeansConfig(),
     )
-    statuses, degenerate = label_clusters(model, feats)
-    assert degenerate and statuses == ["functional"] * 3
+    defective, degenerate = label_clusters(model, mean_l)
+    assert degenerate and defective.tolist() == [False] * 3
 
 
 def test_label_clusters_weak_separation_degenerate():
     # centroids closer than SEPARATION_FACTOR * rms spread: the cut runs
     # through one population, so everything stays functional
-    feats = features_with_means([10.0, 11.0, 12.0, 13.0])
+    mean_l = np.array([10.0, 11.0, 12.0, 13.0])
     model = ml.KMeansModel(
         centroids=np.array([[0.0, 0.0], [1.0, 0.0]]),
         labels=np.array([0, 0, 1, 1]),
         inertia=4.0 * 1.0,
         config=KMeansConfig(),
     )
-    statuses, degenerate = label_clusters(model, feats)
-    assert degenerate and statuses == ["functional"] * 4
-
-
-def test_projection_csv_export():
-    Y = np.array([[1.5, -0.25], [0.0, 2.0]])
-    labels = np.array([0, 1])
-    text = ml.projection_to_csv(Y, labels)
-    assert text == "pc1,pc2,cluster\n1.5,-0.25,0\n0.0,2.0,1\n"
+    defective, degenerate = label_clusters(model, mean_l)
+    assert degenerate and defective.tolist() == [False] * 4
 
 
 def test_label_partition_invariant_under_luminance_scale():
@@ -299,18 +282,15 @@ def test_label_partition_invariant_under_luminance_scale():
     means = np.concatenate([bright, dark])
 
     def classify(scale):
-        feats = [
-            CellFeatures(1, i + 1, m * scale, (m + 1) * scale, max(m - 1, 0.0) * scale,
-                         0.4 * scale, 0.31, 0.32)
-            for i, m in enumerate(means)
-        ]
-        from uled_inspect.features import feature_matrix
-
-        _, Z = standardize_fit_transform(feature_matrix(feats))
+        values = np.column_stack([
+            means * scale, (means + 1) * scale, np.maximum(means - 1, 0.0) * scale,
+            np.full_like(means, 0.4 * scale), np.full_like(means, 0.31), np.full_like(means, 0.32),
+        ])
+        Z = standardize_fit_transform(values)
         model = pca_fit(Z)
         Y = pca_transform(model, Z)
         km = kmeans_fit(Y, KMeansConfig(n_init=20, seed=8))
-        return label_clusters(km, feats)[0]
+        return label_clusters(km, values[:, 0])[0]
 
-    assert classify(1.0) == classify(1000.0)
-    assert classify(1.0).count("defect") == 8
+    assert classify(1.0).tolist() == classify(1000.0).tolist()
+    assert np.count_nonzero(classify(1.0)) == 8

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uled_inspect import io, ml, pipeline, synthgen
+from uled_inspect import grid, io, ml, pipeline, synthgen
 from uled_inspect.errors import ConfigError, PipelineStageError
 from uled_inspect.pipeline import ARTIFACT_NAMES, PipelineConfig, run
 
@@ -124,6 +124,22 @@ def test_failed_run_leaves_no_artifacts(tmp_path, monkeypatch):
     assert not list(out.iterdir())
 
 
+def test_interrupt_is_not_wrapped_and_leaves_no_artifacts(tmp_path, monkeypatch):
+    _, frame_path, defects_path, _ = small_map(tmp_path)
+    out = tmp_path / "out"
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(grid, "project", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run(PipelineConfig(
+            frame_path=str(frame_path), output_dir=str(out),
+            defects_path=str(defects_path), kmeans=fast_kmeans(),
+        ))
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_failed_rewrite_keeps_the_earlier_artifact_set(tmp_path, monkeypatch):
     _, frame_path, defects_path, _ = small_map(tmp_path)
     out = tmp_path / "out"
@@ -196,7 +212,8 @@ def test_overlay_svg_marks_defects(tmp_path):
     ))
     svg = (tmp_path / "out" / "overlay.svg").read_text()
     assert svg.startswith("<svg")
-    assert svg.count('stroke="#dd2222"') == result.statuses.count("defect")
+    assert np.count_nonzero(result.defective) > 0
+    assert svg.count('stroke="#dd2222"') == np.count_nonzero(result.defective)
 
 
 def test_threads_env_parsing(tmp_path, monkeypatch):
