@@ -141,12 +141,30 @@ def pca_transform(model: PcaModel, Z: np.ndarray) -> np.ndarray:
     return Z @ model.components.T
 
 
-def _kmeans_plusplus(Y: np.ndarray, k: int, stream: SplitMix64) -> np.ndarray:
-    n = Y.shape[0]
-    centers = np.empty((k, Y.shape[1]))
+def _squared_distances(columns: np.ndarray, center: np.ndarray) -> np.ndarray:
+    d2 = (columns[0] - center[0]) ** 2
+    for column, c in zip(columns[1:], center[1:]):
+        d2 += (column - c) ** 2
+    return d2
+
+
+def _assign(columns: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid of every point, the lowest index on ties, and its squared distance."""
+    point_d2 = _squared_distances(columns, centroids[0])
+    labels = np.zeros(len(point_d2), dtype=np.int64)
+    for j in range(1, len(centroids)):
+        d2 = _squared_distances(columns, centroids[j])
+        labels[d2 < point_d2] = j
+        np.minimum(point_d2, d2, out=point_d2)
+    return labels, point_d2
+
+
+def _kmeans_plusplus(columns: np.ndarray, k: int, stream: SplitMix64) -> np.ndarray:
+    n = columns.shape[1]
+    centers = np.empty((k, columns.shape[0]))
     first = min(int(stream.next_uniform() * n), n - 1)
-    centers[0] = Y[first]
-    d2 = np.sum((Y - centers[0]) ** 2, axis=1)
+    centers[0] = columns[:, first]
+    d2 = _squared_distances(columns, centers[0])
     for i in range(1, k):
         total = float(d2.sum())
         u = stream.next_uniform()
@@ -155,45 +173,58 @@ def _kmeans_plusplus(Y: np.ndarray, k: int, stream: SplitMix64) -> np.ndarray:
         else:
             idx = int(np.searchsorted(np.cumsum(d2), u * total, side="right"))
             idx = min(idx, n - 1)
-        centers[i] = Y[idx]
-        d2 = np.minimum(d2, np.sum((Y - centers[i]) ** 2, axis=1))
+        centers[i] = columns[:, idx]
+        d2 = np.minimum(d2, _squared_distances(columns, centers[i]))
     return centers
 
 
-def _lloyd(Y: np.ndarray, k: int, restart_seed: int, max_iter: int, tol: float):
+def _lloyd(columns: np.ndarray, k: int, restart_seed: int, max_iter: int, tol: float):
+    """One k-means++ seeded Lloyd restart on the (d, n) C-contiguous columns of Y.
+
+    The result is bit-identical to the row-wise form (an n x k distance matrix
+    summed over axis 2, argmin, and Y[labels == j].mean(axis=0); kept in
+    tests/test_ml.py as the oracle) for every 2 <= d <= 7:
+    - the squared distance to a centre is summed over the columns in order,
+      (col0 - c0)**2 + (col1 - c1)**2 + ...; numpy reduces an axis of fewer
+      than 8 elements left to right, so np.sum(..., axis=1) adds the same
+      terms in the same order (from 8 on it sums pairwise);
+    - a point moves to centre j only when its distance is strictly smaller
+      than the running minimum, so ties keep the lowest index, as argmin
+      does, and the running minimum is the distance argmin picks;
+    - np.bincount(labels, weights=column) adds each cluster's values in
+      point order starting from 0.0, as the axis-0 sum inside
+      mean(axis=0) of a C-contiguous (m, d) matrix does for d >= 2, and the
+      sum is divided by the count as mean does;
+    - every distance is a number, never NaN, because kmeans_fit rejects
+      non-finite input; with NaN, < and argmin would disagree.
+    """
     stream = SplitMix64(restart_seed)
-    centroids = _kmeans_plusplus(Y, k, stream)
-    labels = np.zeros(len(Y), dtype=np.int64)
+    centroids = _kmeans_plusplus(columns, k, stream)
     previous_inertia = np.inf
     for _ in range(max_iter):
-        d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(d2, axis=1)
-        point_d2 = d2[np.arange(len(Y)), labels]
+        labels, point_d2 = _assign(columns, centroids)
         inertia = float(point_d2.sum())
         if inertia > previous_inertia * (1 + 1e-12) + 1e-12:
             raise MlError(f"Lloyd inertia increased from {previous_inertia!r} to {inertia!r}")
         previous_inertia = inertia
 
+        counts = np.bincount(labels, minlength=k)
+        present = counts > 0
+        sums = np.stack([np.bincount(labels, weights=column, minlength=k) for column in columns], axis=1)
         new_centroids = centroids.copy()
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                new_centroids[j] = Y[members].mean(axis=0)
-        empties = [j for j in range(k) if not np.any(labels == j)]
-        if empties:
+        new_centroids[present] = sums[present] / counts[present, None]
+        if not present.all():
             claimable = point_d2.copy()
-            for j in empties:
+            for j in np.flatnonzero(~present):
                 far = int(np.argmax(claimable))
-                new_centroids[j] = Y[far]
+                new_centroids[j] = columns[:, far]
                 claimable[far] = -np.inf
         movement = float(np.sum((new_centroids - centroids) ** 2))
         centroids = new_centroids
         if movement < tol:
             break
-    d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(len(Y)), labels].sum())
-    return centroids, labels, inertia
+    labels, point_d2 = _assign(columns, centroids)
+    return centroids, labels, float(point_d2.sum())
 
 
 def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: int = 1) -> KMeansModel:
@@ -204,17 +235,18 @@ def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: in
     sequential run.
     """
     Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2:
-        raise MlError(f"k-means needs a 2D matrix, got shape {Y.shape}")
+    if Y.ndim != 2 or Y.shape[1] < 1:
+        raise MlError(f"k-means needs a 2D matrix with at least one column, got shape {Y.shape}")
     if not np.all(np.isfinite(Y)):
         raise MlError("k-means input contains non-finite values")
     if Y.shape[0] < config.k:
         raise MlError(f"k-means needs at least k={config.k} points, got {Y.shape[0]}")
 
     seeds = [mix(config.seed, r) for r in range(config.n_init)]
+    columns = np.ascontiguousarray(Y.T)
 
     def run(restart_seed: int):
-        return _lloyd(Y, config.k, restart_seed, config.max_iter, config.tol)
+        return _lloyd(columns, config.k, restart_seed, config.max_iter, config.tol)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -50,8 +50,12 @@ class PipelineConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        if self.corners is not None and len(self.corners) != 4:
-            raise ConfigError(f"explicit corners need exactly 4 points, got {len(self.corners)}")
+        if self.corners is not None:
+            if len(self.corners) != 4:
+                raise ConfigError(f"explicit corners need exactly 4 points, got {len(self.corners)}")
+            if not all(len(p) == 2 and all(math.isfinite(v) for v in p) for p in self.corners):
+                raise ConfigError(f"explicit corners need finite (x, y) points, got {self.corners}")
+            _quad_size(self.corners)
         if not 0.0 < self.rel_threshold < 1.0:
             raise ConfigError(f"rel_threshold must lie in (0, 1), got {self.rel_threshold}")
         if self.threads is not None and self.threads < 1:
@@ -97,15 +101,26 @@ def _stage(name: str):
         raise PipelineStageError(name, exc) from exc
 
 
-def _rectify(frame: io.MeasurementFrame, corners) -> tuple[io.MeasurementFrame, geometry.Homography]:
+def _quad_size(corners) -> tuple[float, float]:
+    """Mean width and height of a TL, TR, BR, BL corner quad.
+
+    Raises ConfigError when either is below 2 px.  Explicit corners are checked
+    with it when the config is built, detected ones when the frame is
+    rectified, where the failure belongs to that stage.
+    """
     tl, tr, br, bl = (np.asarray(p, dtype=np.float64) for p in corners)
     width = (np.hypot(*(tr - tl)) + np.hypot(*(br - bl))) / 2.0
     height = (np.hypot(*(bl - tl)) + np.hypot(*(br - tr))) / 2.0
     if width < 2.0 or height < 2.0:
         raise ConfigError(f"degenerate corner quad (side lengths {width:.2f} x {height:.2f})")
+    return width, height
+
+
+def _rectify(frame: io.MeasurementFrame, corners) -> tuple[io.MeasurementFrame, geometry.Homography]:
+    width, height = _quad_size(corners)
     m = RECTIFY_MARGIN_PX
     dst = [(m, m), (m + width, m), (m + width, m + height), (m, m + height)]
-    h = geometry.estimate_homography([tuple(tl), tuple(tr), tuple(br), tuple(bl)], dst)
+    h = geometry.estimate_homography(corners, dst)
     out_w = int(math.ceil(width + 2 * m))
     out_h = int(math.ceil(height + 2 * m))
     return geometry.warp_frame(frame, h, out_w, out_h), h

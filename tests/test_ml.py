@@ -13,6 +13,7 @@ from uled_inspect.ml import (
     pca_transform,
     standardize_fit_transform,
 )
+from uled_inspect.rng import SplitMix64, mix
 
 
 def exhaustive_two_partition_minimum(Y):
@@ -32,6 +33,69 @@ def exhaustive_two_partition_minimum(Y):
             if inertia < best:
                 best, best_mask = inertia, mask
     return best, best_mask
+
+
+def reference_kmeans_plusplus(Y, k, stream):
+    n = Y.shape[0]
+    centers = np.empty((k, Y.shape[1]))
+    first = min(int(stream.next_uniform() * n), n - 1)
+    centers[0] = Y[first]
+    d2 = np.sum((Y - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = float(d2.sum())
+        u = stream.next_uniform()
+        if total <= 0.0:
+            idx = min(int(u * n), n - 1)
+        else:
+            idx = int(np.searchsorted(np.cumsum(d2), u * total, side="right"))
+            idx = min(idx, n - 1)
+        centers[i] = Y[idx]
+        d2 = np.minimum(d2, np.sum((Y - centers[i]) ** 2, axis=1))
+    return centers
+
+
+def reference_lloyd(Y, k, restart_seed, max_iter, tol):
+    """The row-wise restart ml._lloyd replaced: the full n x k distance
+    matrix, argmin, and one boolean-mask mean per cluster.  Returns
+    (centroids, labels, inertia, whether a cluster ever came out empty)."""
+    stream = SplitMix64(restart_seed)
+    centroids = reference_kmeans_plusplus(Y, k, stream)
+    emptied = False
+    for _ in range(max_iter):
+        d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)
+        point_d2 = d2[np.arange(len(Y)), labels]
+        new_centroids = centroids.copy()
+        for j in range(k):
+            members = labels == j
+            if members.any():
+                new_centroids[j] = Y[members].mean(axis=0)
+        empties = [j for j in range(k) if not np.any(labels == j)]
+        if empties:
+            emptied = True
+            claimable = point_d2.copy()
+            for j in empties:
+                far = int(np.argmax(claimable))
+                new_centroids[j] = Y[far]
+                claimable[far] = -np.inf
+        movement = float(np.sum((new_centroids - centroids) ** 2))
+        centroids = new_centroids
+        if movement < tol:
+            break
+    d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(len(Y)), labels].sum())
+    return centroids, labels, inertia, emptied
+
+
+def scores_like_dense(n=21_904, outliers=0.03, seed=21):
+    """A 2-d cloud shaped like the PCA scores of a dense frame: an
+    anisotropic functional population and ~3% far outliers (the defects)."""
+    rng = np.random.default_rng(seed)
+    m = int(round(n * outliers))
+    cloud = rng.normal(size=(n - m, 2)) * [1.0, 0.35]
+    far = rng.normal(size=(m, 2)) * [0.6, 0.2] + [-24.0, 3.0]
+    return rng.permutation(np.concatenate([cloud, far]))
 
 
 # ---------------------------------------------------------------- standardize
@@ -201,12 +265,46 @@ def test_kmeans_matches_exhaustive_oracle():
 
 def test_kmeans_parallel_equals_sequential():
     rng = np.random.default_rng(12)
-    Y = np.concatenate([rng.normal(size=(120, 2)), rng.normal(size=(40, 2)) + 12.0])
-    sequential = kmeans_fit(Y, KMeansConfig(), threads=1)
-    parallel = kmeans_fit(Y, KMeansConfig(), threads=4)
-    assert np.array_equal(sequential.centroids, parallel.centroids)
-    assert np.array_equal(sequential.labels, parallel.labels)
-    assert sequential.inertia == parallel.inertia
+    small = np.concatenate([rng.normal(size=(120, 2)), rng.normal(size=(40, 2)) + 12.0])
+    # at benchmark size every restart runs long enough to overlap the others
+    for Y in (small, scores_like_dense()):
+        sequential = kmeans_fit(Y, KMeansConfig(), threads=1)
+        parallel = kmeans_fit(Y, KMeansConfig(), threads=4)
+        assert np.array_equal(sequential.centroids, parallel.centroids)
+        assert np.array_equal(sequential.labels, parallel.labels)
+        assert sequential.inertia == parallel.inertia
+
+
+def lloyd_oracle_cases():
+    rng = np.random.default_rng(15)
+    dense = scores_like_dense()
+    six_d = rng.normal(size=(2_000, 6)) * rng.uniform(0.2, 30.0, 6) + rng.uniform(-50.0, 50.0, 6)
+    # three distinct points: a fourth seed repeats one, so a cluster empties
+    duplicates = np.repeat([[0.0, 0.0], [5.0, 5.0], [9.0, -1.0]], [50, 30, 20], axis=0)
+    return {
+        "dense_k2": (dense, 2, 12, False),
+        "dense_k3": (dense, 3, 6, False),
+        "dense_k4": (dense, 4, 4, False),
+        "six_d_k3": (six_d, 3, 20, False),
+        "duplicates_k4": (duplicates, 4, 20, True),
+        "n_equals_k": (np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 1.0]]), 3, 20, False),
+    }
+
+
+@pytest.mark.parametrize("case", list(lloyd_oracle_cases()))
+def test_lloyd_matches_row_wise_reference_bit_for_bit(case):
+    Y, k, restarts, must_empty = lloyd_oracle_cases()[case]
+    columns = np.ascontiguousarray(Y.T)
+    emptied = False
+    for r in range(restarts):
+        seed = mix(8, r)
+        centroids, labels, inertia = ml._lloyd(columns, k, seed, 300, 1e-8)
+        ref_centroids, ref_labels, ref_inertia, ref_emptied = reference_lloyd(Y, k, seed, 300, 1e-8)
+        assert centroids.tobytes() == ref_centroids.tobytes(), r
+        assert labels.tobytes() == ref_labels.tobytes(), r
+        assert inertia == ref_inertia, r
+        emptied |= ref_emptied
+    assert emptied or not must_empty
 
 
 def test_kmeans_deterministic_across_calls():

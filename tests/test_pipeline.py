@@ -97,6 +97,17 @@ def test_missing_frame_names_stage(tmp_path):
         run(PipelineConfig(frame_path=str(tmp_path / "nope.ulf"), output_dir=str(tmp_path / "out")))
 
 
+def test_detected_degenerate_quad_fails_in_rectify(tmp_path, monkeypatch):
+    # the same 1 px quad given as --corners is a ConfigError (exit 2)
+    _, frame_path, _, _ = small_map(tmp_path)
+    quad = [(10.0, 10.0), (11.0, 10.0), (11.0, 11.0), (10.0, 11.0)]
+    with pytest.raises(ConfigError, match="degenerate corner quad"):
+        PipelineConfig(frame_path=str(frame_path), output_dir=str(tmp_path / "out"), corners=tuple(quad))
+    monkeypatch.setattr(pipeline.geometry, "detect_corners", lambda frame, rel_threshold: quad)
+    with pytest.raises(PipelineStageError, match="rectify"):
+        run(PipelineConfig(frame_path=str(frame_path), output_dir=str(tmp_path / "out")))
+
+
 def test_grid_truth_mismatch_names_stage(tmp_path):
     _, frame_path, _, _ = small_map(tmp_path)
     wrong = tmp_path / "wrong.csv"
