@@ -4,7 +4,7 @@ light-emitting-surface statistics for uLED-array luminance frames."""
 __version__ = "0.1.0"
 
 from .io import DefectMap, MeasurementFrame, read_defect_map, read_frame, write_defect_map, write_frame
-from .synthgen import SynthConfig, generate, ideal_cell_rectangles
+from .synthgen import SynthConfig, generate
 from .geometry import Homography, apply_homography, detect_corners, estimate_homography, warp_frame
 from .grid import AxisProjection, GridMetrics, PixelGrid, build_grid, cell_size, detect_edges, estimate_period, project
 from .features import CellTable, extract
@@ -31,7 +31,6 @@ __all__ = [
     "write_defect_map",
     "SynthConfig",
     "generate",
-    "ideal_cell_rectangles",
     "Homography",
     "estimate_homography",
     "apply_homography",

@@ -8,6 +8,7 @@ Exit codes (stable contract): 0 success, 1 I/O failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -28,21 +29,17 @@ COMPARED_SECTIONS = ("grid_metrics", "confusion", "les_stats")
 RATE_ATOL = 1e-3
 VALUE_RTOL = 1e-3
 
-_INT_KEYS = {"grid_rows", "grid_cols", "seed"}
-_FLOAT_KEYS = {
-    "cell_size_px",
-    "gap_px",
-    "lum_mean",
-    "lum_sigma",
-    "defect_fraction",
-    "defect_residual",
-    "rotation_deg",
-    "perspective_strength",
-    "noise_sigma",
-    "chroma_mean_x",
-    "chroma_mean_y",
-    "chroma_sigma",
+def _parse_defect_cells(value: str) -> tuple[tuple[int, int], ...]:
+    return tuple((int(r), int(c)) for r, c in (pair.split(",") for pair in value.split(";") if pair.strip()))
+
+
+# The parser of each generator config key: the type of its SynthConfig
+# default, except for the one field whose default is None.
+_PARSERS = {
+    f.name: _parse_defect_cells if f.name == "defect_cells" else type(f.default)
+    for f in dataclasses.fields(synthgen.SynthConfig)
 }
+_EXPECTED = {int: "an integer", float: "a number", _parse_defect_cells: "'row,col;row,col;...'"}
 
 
 def parse_synth_config(text: str) -> synthgen.SynthConfig:
@@ -56,29 +53,13 @@ def parse_synth_config(text: str) -> synthgen.SynthConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} needs an integer, got {value!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} needs a number, got {value!r}") from None
-        elif key == "defect_cells":
-            try:
-                cells = tuple(
-                    (int(r), int(c))
-                    for r, c in (pair.split(",") for pair in value.split(";") if pair.strip())
-                )
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: defect_cells needs 'row,col;row,col;...', got {value!r}"
-                ) from None
-            values[key] = cells
-        else:
+        parser = _PARSERS.get(key)
+        if parser is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = parser(value)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key} needs {_EXPECTED[parser]}, got {value!r}") from None
     return synthgen.SynthConfig(**values)
 
 
@@ -91,7 +72,7 @@ def _cmd_generate(args) -> int:
     try:
         config = parse_synth_config(text)
         if args.seed is not None:
-            config = synthgen.SynthConfig(**{**config.__dict__, "seed": args.seed})
+            config = dataclasses.replace(config, seed=args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

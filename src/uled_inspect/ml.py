@@ -2,9 +2,10 @@
 
 The six per-cell features mix units (cd/m^2 luminance around 10^2..10^6,
 chromaticity around 10^-1), so columns are standardized before the PCA;
-without that step the principal axes would be luminance-only.  The PCA is a
-cyclic-Jacobi eigen-decomposition of the 6x6 population covariance, and the
-classifier is Lloyd's algorithm with k-means++ seeding and multiple restarts.
+without that step the principal axes would be luminance-only.  The PCA is
+numpy's symmetric eigen-decomposition (np.linalg.eigh) of the 6x6 population
+covariance, and the classifier is Lloyd's algorithm with k-means++ seeding and
+multiple restarts.
 
 Restart r of a fit draws from a SplitMix64 stream seeded with
 rng.mix(seed, r), so restarts are independent of execution order and a
@@ -21,7 +22,10 @@ import numpy as np
 from .errors import MlError
 from .rng import SplitMix64, mix
 
-_JACOBI_MAX_SWEEPS = 64
+# Lloyd stops after _MAX_ITER iterations or once the centroids move less than
+# _TOL in summed squared distance.
+_MAX_ITER = 300
+_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -37,11 +41,9 @@ class KMeansConfig:
     k: int = 2
     n_init: int = 100
     seed: int = 8
-    max_iter: int = 300
-    tol: float = 1e-8
 
     def __post_init__(self):
-        if self.k < 1 or self.n_init < 1 or self.max_iter < 1 or self.tol < 0:
+        if self.k < 1 or self.n_init < 1:
             raise MlError(f"invalid k-means config {self}")
 
 
@@ -71,44 +73,6 @@ def standardize_fit_transform(X) -> np.ndarray:
     return (X - mean) / scale
 
 
-def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns, in
-    unspecified order.  Raises MlError if the off-diagonal mass has not
-    vanished after max_sweeps sweeps.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise MlError("jacobi_eigh needs a symmetric square matrix")
-    v = np.eye(n)
-    scale = max(float(np.abs(a).max()), 1e-300)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= 1e-14 * scale * n:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0)) if theta != 0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    raise MlError(f"Jacobi eigensolver did not converge in {max_sweeps} sweeps")
-
-
 def pca_fit(Z: np.ndarray) -> PcaModel:
     """Fit the two dominant principal axes of the population covariance of Z.
 
@@ -117,9 +81,11 @@ def pca_fit(Z: np.ndarray) -> PcaModel:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[0] < 3:
         raise MlError(f"PCA needs n >= 3 samples, got shape {Z.shape}")
+    if not np.all(np.isfinite(Z)):
+        raise MlError("PCA input contains non-finite values")
     centered = Z - Z.mean(axis=0)
     cov = centered.T @ centered / Z.shape[0]
-    eigenvalues, eigenvectors = jacobi_eigh(cov)
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(-eigenvalues, kind="stable")[:2]
     components = eigenvectors[:, order].T.copy()
     for row in components:
@@ -178,7 +144,7 @@ def _kmeans_plusplus(columns: np.ndarray, k: int, stream: SplitMix64) -> np.ndar
     return centers
 
 
-def _lloyd(columns: np.ndarray, k: int, restart_seed: int, max_iter: int, tol: float):
+def _lloyd(columns: np.ndarray, k: int, restart_seed: int):
     """One k-means++ seeded Lloyd restart on the (d, n) C-contiguous columns of Y.
 
     The result is bit-identical to the row-wise form (an n x k distance matrix
@@ -201,7 +167,7 @@ def _lloyd(columns: np.ndarray, k: int, restart_seed: int, max_iter: int, tol: f
     stream = SplitMix64(restart_seed)
     centroids = _kmeans_plusplus(columns, k, stream)
     previous_inertia = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         labels, point_d2 = _assign(columns, centroids)
         inertia = float(point_d2.sum())
         if inertia > previous_inertia * (1 + 1e-12) + 1e-12:
@@ -221,7 +187,7 @@ def _lloyd(columns: np.ndarray, k: int, restart_seed: int, max_iter: int, tol: f
                 claimable[far] = -np.inf
         movement = float(np.sum((new_centroids - centroids) ** 2))
         centroids = new_centroids
-        if movement < tol:
+        if movement < _TOL:
             break
     labels, point_d2 = _assign(columns, centroids)
     return centroids, labels, float(point_d2.sum())
@@ -246,7 +212,7 @@ def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: in
     columns = np.ascontiguousarray(Y.T)
 
     def run(restart_seed: int):
-        return _lloyd(columns, config.k, restart_seed, config.max_iter, config.tol)
+        return _lloyd(columns, config.k, restart_seed)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -47,7 +47,7 @@ class PipelineConfig:
     corners: tuple[tuple[float, float], ...] | None = None
     rel_threshold: float = 0.1
     kmeans: ml.KMeansConfig = field(default_factory=ml.KMeansConfig)
-    threads: int | None = None
+    threads: int = 1
 
     def __post_init__(self):
         if self.corners is not None:
@@ -58,7 +58,7 @@ class PipelineConfig:
             _quad_size(self.corners)
         if not 0.0 < self.rel_threshold < 1.0:
             raise ConfigError(f"rel_threshold must lie in (0, 1), got {self.rel_threshold}")
-        if self.threads is not None and self.threads < 1:
+        if self.threads < 1:
             raise ConfigError(f"threads must be positive, got {self.threads}")
 
 
@@ -74,21 +74,6 @@ class ClassificationReport:
     defective: np.ndarray
     cells: features.CellTable
     pixel_grid: grid.PixelGrid
-
-
-def _thread_count(config: PipelineConfig) -> int:
-    if config.threads is not None:
-        return config.threads
-    env = os.environ.get("ULED_INSPECT_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"ULED_INSPECT_THREADS={env!r} is not a positive integer") from None
-        if value < 1:
-            raise ConfigError(f"ULED_INSPECT_THREADS={env!r} is not a positive integer")
-        return value
-    return os.cpu_count() or 1
 
 
 @contextlib.contextmanager
@@ -190,8 +175,6 @@ def run(config: PipelineConfig) -> ClassificationReport:
     Raises PipelineStageError naming the failed stage; a failed run leaves
     the output directory's files as they were.
     """
-    threads = _thread_count(config)
-
     with _stage("read_frame"):
         frame = io.read_frame(config.frame_path)
     truth = None
@@ -219,7 +202,7 @@ def run(config: PipelineConfig) -> ClassificationReport:
         standardized = ml.standardize_fit_transform(cells.values)
         pca = ml.pca_fit(standardized)
         projected = ml.pca_transform(pca, standardized)
-        model = ml.kmeans_fit(projected, config.kmeans, threads=threads)
+        model = ml.kmeans_fit(projected, config.kmeans, threads=config.threads)
         mean_l = cells.column("mean_l")
         defective, degenerate = ml.label_clusters(model, mean_l)
 

@@ -54,10 +54,6 @@ class SplitMix64:
         self._seed = seed & _MASK
         self._index = 0
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def next_raw(self) -> int:
         value = finalize((self._seed + (self._index + 1) * GOLDEN) & _MASK)
         self._index += 1

@@ -25,7 +25,7 @@ Defective cells emit defect_residual times their drawn brightness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,6 +63,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ConfigError(f"grid must be at least 1x1, got {self.grid_rows}x{self.grid_cols}")
         if self.gap_px < 0 or self.cell_size_px <= self.gap_px:
@@ -101,20 +105,6 @@ class SynthConfig:
     @property
     def les_height(self) -> float:
         return self.grid_rows * self.pitch
-
-
-def ideal_cell_rectangles(config: SynthConfig) -> list[tuple[float, float, float, float]]:
-    """Bright-interior rectangles (x0, y0, x1, y1) per cell, row-major,
-    in pre-distortion LES coordinates."""
-    half_gap = config.gap_px / 2.0
-    pitch = config.pitch
-    rects = []
-    for r in range(config.grid_rows):
-        y0 = half_gap + r * pitch
-        for c in range(config.grid_cols):
-            x0 = half_gap + c * pitch
-            rects.append((x0, y0, x0 + config.cell_size_px, y0 + config.cell_size_px))
-    return rects
 
 
 def drawn_brightness(config: SynthConfig) -> np.ndarray:
@@ -161,6 +151,8 @@ def distortion_homography(config: SynthConfig) -> geometry.Homography:
 
 
 def _coverage_matrix(n_cells: int, pitch: float, cell: float, gap: float, n_samples: int) -> np.ndarray:
+    """(n_cells, n_samples) share of each sample [i, i+1) of one axis that lies
+    inside each cell's bright interior, by the layout rule above."""
     cov = np.zeros((n_cells, n_samples))
     half_gap = gap / 2.0
     for c in range(n_cells):

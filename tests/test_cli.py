@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -80,6 +81,29 @@ def test_generate_unknown_key_exits_2(tmp_path, capsys):
     ]) == 2
 
 
+@pytest.mark.parametrize("line", [
+    "lum_mean = nan",
+    "noise_sigma = inf",
+    "rotation_deg = nan",
+    "cell_size_px = inf",
+    "gap_px = nan",
+    "perspective_strength = inf",
+])
+def test_generate_non_finite_config_exits_2(tmp_path, capsys, line):
+    config = tmp_path / "bad.cfg"
+    config.write_text("grid_rows = 4\ngrid_cols = 4\n" + line + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main([
+        "generate", "--config", str(config),
+        "--out-frame", str(out / "f.ulf"), "--out-defects", str(out / "d.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "must be finite" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_generate_seed_override_is_deterministic(tmp_path):
     config = tmp_path / "array.cfg"
     config.write_text(CONFIG_TEXT)
@@ -102,6 +126,19 @@ def test_generate_seed_override_is_deterministic(tmp_path):
 def test_parse_synth_config_defect_cells():
     config = cli.parse_synth_config("grid_rows=8\ngrid_cols=8\ndefect_cells=1,2;3,4\n")
     assert config.defect_cells == ((1, 2), (3, 4))
+
+
+def test_parse_synth_config_sets_every_field():
+    # one non-default value per SynthConfig field, each given as text
+    expected, lines = {}, []
+    for f in dataclasses.fields(synthgen.SynthConfig):
+        if f.name == "defect_cells":
+            expected[f.name] = ((1, 2), (0, 3))
+            lines.append("defect_cells = 1,2;0,3")
+        else:
+            expected[f.name] = f.default + (1 if isinstance(f.default, int) else 0.25)
+            lines.append(f"{f.name} = {expected[f.name]}")
+    assert cli.parse_synth_config("\n".join(lines)) == synthgen.SynthConfig(**expected)
 
 
 def test_analyze_with_truth_prints_accuracy(generated, tmp_path, capsys):

@@ -227,14 +227,12 @@ def test_overlay_svg_marks_defects(tmp_path):
     assert svg.count('stroke="#dd2222"') == np.count_nonzero(result.defective)
 
 
-def test_threads_env_parsing(tmp_path, monkeypatch):
-    monkeypatch.setenv("ULED_INSPECT_THREADS", "junk")
-    with pytest.raises(ConfigError, match="ULED_INSPECT_THREADS"):
-        pipeline._thread_count(PipelineConfig(frame_path="x", output_dir="y"))
-    monkeypatch.setenv("ULED_INSPECT_THREADS", "3")
-    assert pipeline._thread_count(PipelineConfig(frame_path="x", output_dir="y")) == 3
-    monkeypatch.delenv("ULED_INSPECT_THREADS")
-    assert pipeline._thread_count(PipelineConfig(frame_path="x", output_dir="y", threads=2)) == 2
+def test_threads_setting():
+    assert PipelineConfig(frame_path="x", output_dir="y").threads == 1
+    assert PipelineConfig(frame_path="x", output_dir="y", threads=3).threads == 3
+    for bad in (0, -2):
+        with pytest.raises(ConfigError, match="threads must be positive"):
+            PipelineConfig(frame_path="x", output_dir="y", threads=bad)
 
 
 def test_invalid_pipeline_config():

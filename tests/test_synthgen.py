@@ -3,7 +3,7 @@ import pytest
 
 from uled_inspect import synthgen
 from uled_inspect.errors import ConfigError
-from uled_inspect.synthgen import SynthConfig, generate, ideal_cell_rectangles
+from uled_inspect.synthgen import SynthConfig, generate
 
 
 def small_config(**overrides):
@@ -58,29 +58,36 @@ def test_defect_residual_scales_cell():
     assert np.all(block == np.float32(2.0))
 
 
+def axis_coverage(config, n_cells):
+    """The generator's rasterisation of the ideal cell rectangles along one
+    axis: the share of each sample covered by each cell's bright interior."""
+    n_samples = int(np.ceil(n_cells * config.pitch))
+    return synthgen._coverage_matrix(n_cells, config.pitch, config.cell_size_px, config.gap_px, n_samples)
+
+
 def test_ideal_cell_rectangles_layout():
-    # half-gap border, pitch = cell + gap: cell (0,0) spans [1.5, 24.5),
-    # cell (0,1) starts at 27.5
-    rects = ideal_cell_rectangles(SynthConfig(grid_rows=2, grid_cols=2, cell_size_px=23, gap_px=3))
-    assert rects[0] == (1.5, 1.5, 24.5, 24.5)
-    assert rects[1][0] == 27.5
-    assert len(rects) == 4
+    # half-gap border, pitch = cell + gap: cell 0 spans [1.5, 24.5),
+    # cell 1 starts at 27.5
+    config = SynthConfig(grid_rows=2, grid_cols=2, cell_size_px=23, gap_px=3)
+    cov = axis_coverage(config, config.grid_cols)
+    first = np.zeros(52)
+    first[1], first[2:24], first[24] = 0.5, 1.0, 0.5
+    assert cov.tolist() == [first.tolist(), np.roll(first, 26).tolist()]
 
 
 def test_ideal_cell_rectangles_single_cell():
-    rects = ideal_cell_rectangles(SynthConfig(grid_rows=1, grid_cols=1, cell_size_px=10, gap_px=2))
-    assert rects == [(1.0, 1.0, 11.0, 11.0)]
+    config = SynthConfig(grid_rows=1, grid_cols=1, cell_size_px=10, gap_px=2)
+    assert axis_coverage(config, 1).tolist() == [[0.0] + [1.0] * 10 + [0.0]]
 
 
 def test_ideal_cell_rectangles_pairwise_disjoint():
+    # each cell covers exactly cell_size_px and no sample holds more than its
+    # own area, so no two cells overlap along either axis
     config = SynthConfig(grid_rows=3, grid_cols=4, cell_size_px=7.3, gap_px=1.1)
-    rects = ideal_cell_rectangles(config)
-    for i in range(len(rects)):
-        for j in range(i + 1, len(rects)):
-            a, b = rects[i], rects[j]
-            overlap_x = min(a[2], b[2]) - max(a[0], b[0])
-            overlap_y = min(a[3], b[3]) - max(a[1], b[1])
-            assert overlap_x <= 0 or overlap_y <= 0
+    for n_cells in (config.grid_rows, config.grid_cols):
+        cov = axis_coverage(config, n_cells)
+        assert np.allclose(cov.sum(axis=1), config.cell_size_px, rtol=0, atol=1e-12)
+        assert cov.sum(axis=0).max() <= 1.0 + 1e-12
 
 
 def test_projection_periodicity_invariant():
