@@ -20,7 +20,8 @@ MARGIN_PX = 1.0
 NEUTRAL_CHROMA = 0.5
 
 COLUMNS = ("mean_l", "max_l", "min_l", "std_l", "mean_cx", "mean_cy")
-CSV_HEADER = ",".join(("row", "col") + COLUMNS)
+CSV_COLUMNS = ("row", "col") + COLUMNS
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class CellTable:
     """Descriptors of the interior cells, one row per cell in row-major order.
 
     rows and cols are the grid indices of each cell; column k of the n x 6
-    values matrix is the descriptor COLUMNS[k].
+    values matrix is the descriptor COLUMNS[k].  Every descriptor is finite.
     """
 
     rows: np.ndarray
@@ -45,6 +46,7 @@ class CellTable:
         tol = 1e-9 * np.maximum(np.abs(high), 1.0)
         # One mask per invariant, in the order a cell's checks are reported.
         checks = (
+            (~np.isfinite(self.values).all(axis=1), "non-finite descriptor"),
             (~((low - tol <= mean) & (mean <= high + tol)), "mean {mean_l} outside [min, max]"),
             (std < -tol, "negative std {std_l}"),
             # Popoviciu: population std can never exceed half the value range.
@@ -119,8 +121,20 @@ def extract(frame: MeasurementFrame, grid: PixelGrid) -> CellTable:
     return CellTable(rows=rows, cols=cols, values=values)
 
 
-def to_csv(table: CellTable) -> str:
-    lines = [CSV_HEADER]
-    for row, col, cell in zip(table.rows.tolist(), table.cols.tolist(), table.values.tolist()):
-        lines.append(f"{row},{col}," + ",".join(map(repr, cell)))
-    return "\n".join(lines) + "\n"
+def text_columns(table: CellTable) -> dict[str, list[str]]:
+    """Every features.csv column of the table as text, keyed by its header name.
+
+    row and col are written with str and the descriptors with repr, the
+    shortest text that reads back as the same float.  Each column is formatted
+    once, so the CSV and the report's per-cell entries share the strings.
+    """
+    text = {"row": list(map(str, table.rows.tolist())), "col": list(map(str, table.cols.tolist()))}
+    for name, column in zip(COLUMNS, table.values.T.tolist()):
+        text[name] = list(map(repr, column))
+    return text
+
+
+def to_csv(text: dict[str, list[str]]) -> str:
+    """features.csv from text_columns(table): the header, then one line per cell."""
+    lines = map(",".join, zip(*(text[name] for name in CSV_COLUMNS)))
+    return "\n".join([CSV_HEADER, *lines]) + "\n"

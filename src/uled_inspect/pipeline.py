@@ -116,16 +116,13 @@ def _reconstruct(projection: grid.AxisProjection) -> np.ndarray:
     return grid.detect_edges(projection, period)
 
 
-def _heat_color(value: float) -> str:
-    level = int(round(255 * min(max(value, 0.0), 1.0)))
-    return f"#{level:02x}{level:02x}{level:02x}"
-
-
 def _overlay_svg(pixel_grid: grid.PixelGrid, cells: features.CellTable, defective: np.ndarray) -> str:
     xs, ys = pixel_grid.x_edges, pixel_grid.y_edges
     width, height = xs[-1] + xs[0], ys[-1] + ys[0]
     mean_l = cells.column("mean_l")
     peak = float(mean_l.max()) or 1.0
+    # np.rint rounds halves to even, as Python's round does.
+    heat = np.rint(255 * np.clip(mean_l / peak, 0.0, 1.0)).astype(np.int64).tolist()
     x0, x1 = xs[cells.cols], xs[cells.cols + 1]
     y0, y1 = ys[cells.rows], ys[cells.rows + 1]
     rects = [
@@ -136,8 +133,7 @@ def _overlay_svg(pixel_grid: grid.PixelGrid, cells: features.CellTable, defectiv
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:.1f} {height:.1f}">',
         f'<rect x="0" y="0" width="{width:.1f}" height="{height:.1f}" fill="black"/>',
     ]
-    for rect, level in zip(rects, (mean_l / peak).tolist()):
-        parts.append(f'<rect {rect} fill="{_heat_color(level)}"/>')
+    parts += [f'<rect {rect} fill="#{level:02x}{level:02x}{level:02x}"/>' for rect, level in zip(rects, heat)]
     for x in xs:
         parts.append(
             f'<line x1="{x:.2f}" y1="{ys[0]:.2f}" x2="{x:.2f}" y2="{ys[-1]:.2f}" '
@@ -155,18 +151,66 @@ def _overlay_svg(pixel_grid: grid.PixelGrid, cells: features.CellTable, defectiv
     return "\n".join(parts) + "\n"
 
 
+def _statuses(
+    cells: features.CellTable, defective: np.ndarray, truth: io.DefectMap | None
+) -> dict[str, np.ndarray]:
+    """Per-cell defect masks: "predicted", and "truth" when a defect map was supplied."""
+    masks = {"predicted": defective}
+    if truth is not None:
+        masks["truth"] = truth.defective[cells.rows, cells.cols]
+    return masks
+
+
 def _per_cell(cells: features.CellTable, defective: np.ndarray, truth: io.DefectMap | None) -> list[dict]:
     """The report's per-cell entries: grid position, descriptors and statuses."""
     columns = {
         "row": cells.rows.tolist(),
         "col": cells.cols.tolist(),
         **{name: cells.values[:, k].tolist() for k, name in enumerate(features.COLUMNS)},
-        "predicted": np.where(defective, STATUS_DEFECT, STATUS_FUNCTIONAL).tolist(),
     }
-    if truth is not None:
-        actual = truth.defective[cells.rows, cells.cols]
-        columns["truth"] = np.where(actual, STATUS_DEFECT, STATUS_FUNCTIONAL).tolist()
+    for key, mask in _statuses(cells, defective, truth).items():
+        columns[key] = np.where(mask, STATUS_DEFECT, STATUS_FUNCTIONAL).tolist()
     return [dict(zip(columns, entry)) for entry in zip(*columns.values())]
+
+
+def _cell_text(
+    cells: features.CellTable, defective: np.ndarray, truth: io.DefectMap | None
+) -> dict[str, list[str]]:
+    """The JSON text of every field of every per-cell entry, keyed by field.
+
+    The features.csv columns come from features.text_columns; the statuses are
+    the quoted literals.
+    """
+    quoted = (json.dumps(STATUS_FUNCTIONAL), json.dumps(STATUS_DEFECT))
+    text = features.text_columns(cells)
+    for key, mask in _statuses(cells, defective, truth).items():
+        text[key] = [quoted[bad] for bad in mask.tolist()]
+    return text
+
+
+def _report_json(report: dict, cell_text: dict[str, list[str]]) -> str:
+    """report.json, byte for byte json.dumps(report, sort_keys=True, indent=2)
+    plus a newline, where cell_text (see _cell_text) holds report["per_cell"]
+    as text.
+
+    With indent set, json.dumps leaves its C encoder for the pure-Python one,
+    which is slow on tens of thousands of per-cell entries.  So only the rest
+    of the report goes through json.dumps, with "per_cell" emptied, and the
+    per-cell block is made from cell_text with one %-template per entry, keys
+    sorted, and spliced in where the empty list stands.  The texts are json's
+    own encodings: str of an int, the quoted status, and repr of a float,
+    which is what json writes for any finite float.  Every descriptor is
+    finite: io.MeasurementFrame rejects non-finite samples and
+    features.CellTable non-finite descriptors.
+    """
+    rest = json.dumps({**report, "per_cell": []}, sort_keys=True, indent=2) + "\n"
+    # The unpacking fails unless the key stands exactly once.
+    head, tail = rest.split('"per_cell": []')
+    keys = sorted(cell_text)
+    template = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    }"
+    entries = [template % entry for entry in zip(*(cell_text[key] for key in keys))]
+    block = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    return f'{head}"per_cell": {block}{tail}'
 
 
 def run(config: PipelineConfig) -> ClassificationReport:
@@ -235,11 +279,12 @@ def run(config: PipelineConfig) -> ClassificationReport:
     out_dir = Path(config.output_dir)
     with _stage("artifacts"):
         out_dir.mkdir(parents=True, exist_ok=True)
+        cell_text = _cell_text(cells, defective, truth)
         payloads = {
-            "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
+            "report.json": _report_json(report, cell_text),
             "projections_x.csv": proj_x.to_csv(),
             "projections_y.csv": proj_y.to_csv(),
-            "features.csv": features.to_csv(cells),
+            "features.csv": features.to_csv(cell_text),
             "grid.json": pixel_grid.to_json() + "\n",
             "overlay.svg": _overlay_svg(pixel_grid, cells, defective),
         }

@@ -1,10 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uled_inspect import grid, io, ml, pipeline, synthgen
+from uled_inspect import features, grid, io, ml, pipeline, synthgen
 from uled_inspect.errors import ConfigError, PipelineStageError
 from uled_inspect.pipeline import ARTIFACT_NAMES, PipelineConfig, run
 
@@ -51,7 +52,7 @@ def test_run_is_byte_deterministic(tmp_path):
             frame_path=str(frame_path), output_dir=str(tmp_path / name),
             defects_path=str(defects_path), kmeans=fast_kmeans(),
         ))
-        blobs.append((tmp_path / name / "report.json").read_bytes())
+        blobs.append({artifact: (tmp_path / name / artifact).read_bytes() for artifact in ARTIFACT_NAMES})
     assert blobs[0] == blobs[1]
 
 
@@ -242,3 +243,234 @@ def test_invalid_pipeline_config():
         PipelineConfig(frame_path="x", output_dir="y", rel_threshold=1.5)
     with pytest.raises(ConfigError):
         PipelineConfig(frame_path="x", output_dir="y", threads=0)
+
+
+# The report sections around per_cell, for the writer tests that build their
+# inputs by hand.
+SECTIONS = {
+    "grid_metrics": {
+        "mean_cell_width": 9.875, "mean_cell_height": 9.875, "std_cell_width": 0.125,
+        "std_cell_height": 0.1, "n_rows": 3, "n_cols": 4,
+    },
+    "confusion": {
+        "true_functional_pred_functional": 1, "true_functional_pred_defect": 1,
+        "true_defect_pred_functional": 0, "true_defect_pred_defect": 1,
+        "accuracy": 0.6666666666666666, "false_negative_rate": 0.0, "false_positive_rate": 0.5,
+    },
+    "les_stats": {
+        "raw_mean": 101.1, "raw_sem": 56.3, "denoised_mean": 200.0, "denoised_sem": 0.0,
+        "raw_count": 3, "denoised_count": 1,
+    },
+    "flags": {
+        "degenerate_clustering": False, "confusion_skipped": False,
+        "fnr_undefined": False, "fpr_undefined": False,
+    },
+}
+
+
+def write_report(cells, defective, truth):
+    """The report the writers get for these cells, and the report.json text."""
+    report = {**SECTIONS, "per_cell": pipeline._per_cell(cells, defective, truth)}
+    return report, pipeline._report_json(report, pipeline._cell_text(cells, defective, truth))
+
+
+def oracle_json(report):
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def assert_same_text(actual, expected):
+    """Equal strings, or a failure naming the first differing line (pytest's
+    own diff of two long texts can take minutes)."""
+    if actual != expected:
+        pairs = zip(actual.splitlines(keepends=True) + [""], expected.splitlines(keepends=True) + [""])
+        line, (got, want) = next((i, pair) for i, pair in enumerate(pairs, 1) if pair[0] != pair[1])
+        pytest.fail(f"texts differ first at line {line}: {got!r} != {want!r}")
+
+
+@pytest.mark.parametrize("case", ["truth", "no_truth", "zero_defects"])
+def test_report_json_matches_json_dumps_on_a_run(tmp_path, case):
+    fraction = 0.0 if case == "zero_defects" else 0.05
+    _, frame_path, defects_path, _ = small_map(tmp_path, defect_fraction=fraction)
+    result = run(PipelineConfig(
+        frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
+        defects_path=None if case == "no_truth" else str(defects_path), kmeans=fast_kmeans(),
+    ))
+    assert ("truth" in result.report["per_cell"][0]) == (case != "no_truth")
+    written = (tmp_path / "out" / "report.json").read_text(encoding="ascii")
+    assert_same_text(written, oracle_json(result.report))
+
+
+def test_report_json_of_an_empty_table_keeps_the_empty_list():
+    no_cells = np.zeros(0, np.int64)
+    empty = features.CellTable(rows=no_cells, cols=no_cells, values=np.zeros((0, 6)))
+    for truth in (None, io.DefectMap.from_cells(3, 4, [])):
+        report, text = write_report(empty, np.zeros(0, dtype=bool), truth)
+        assert_same_text(text, oracle_json(report))
+        assert text.endswith('\n  "per_cell": []\n}\n')
+
+
+def test_report_json_matches_json_dumps_on_awkward_floats():
+    awkward = [1e-05, 1e16, 0.30000000000000004, 5e-324, 0.0]
+    cells = features.CellTable(
+        rows=np.array([0, 0, 1, 2]),
+        cols=np.array([1, 3, 0, 2]),
+        values=np.array([
+            [1e-05, 1e16, 0.0, 5e-324, 0.30000000000000004, 0.0],
+            [0.30000000000000004, 1e16, 1e-05, 0.0, 5e-324, 1.0],
+            [5e-324, 1e-05, 0.0, 5e-324, 0.0, 0.30000000000000004],
+            [0.0, 0.0, 0.0, 0.0, 0.5, 0.5],
+        ]),
+    )
+    defective = np.array([True, False, False, True])
+    for truth in (io.DefectMap.from_cells(3, 4, [(0, 3), (2, 2)]), None):
+        report, text = write_report(cells, defective, truth)
+        assert_same_text(text, oracle_json(report))
+        assert all(repr(value) in text for value in awkward)
+
+
+# Hand-built writer inputs: three of the interior cells of a 3 x 4 grid, with
+# no generator or warp behind them.  The expected bytes below were written by
+# the writers the present ones replaced (json.dumps with indent=2, one CSV
+# line and one heat colour per cell).
+GOLDEN_CELLS = features.CellTable(
+    rows=np.array([0, 0, 1]),
+    cols=np.array([0, 2, 1]),
+    values=np.array([
+        [200.0, 210.5, 190.25, 4.75, 0.30000000000000004, 0.31],
+        [100.0, 1e16, 1e-05, 2.5, 0.0, 5e-324],
+        [3.3, 7.0, 0.1, 1.2345678901234567, 0.5, 0.5],
+    ]),
+)
+GOLDEN_GRID = grid.PixelGrid(
+    x_edges=np.array([0.5, 10.25, 20.0, 29.75, 40.0]),
+    y_edges=np.array([0.5, 10.0, 19.5, 30.125]),
+    interior=np.array([[True, False, True, False], [False, True, False, False], [False] * 4]),
+)
+GOLDEN_DEFECTIVE = np.array([False, True, True])
+GOLDEN_TRUTH = io.DefectMap.from_cells(3, 4, [(0, 2)])
+
+GOLDEN_REPORT_JSON = """\
+{
+  "confusion": {
+    "accuracy": 0.6666666666666666,
+    "false_negative_rate": 0.0,
+    "false_positive_rate": 0.5,
+    "true_defect_pred_defect": 1,
+    "true_defect_pred_functional": 0,
+    "true_functional_pred_defect": 1,
+    "true_functional_pred_functional": 1
+  },
+  "flags": {
+    "confusion_skipped": false,
+    "degenerate_clustering": false,
+    "fnr_undefined": false,
+    "fpr_undefined": false
+  },
+  "grid_metrics": {
+    "mean_cell_height": 9.875,
+    "mean_cell_width": 9.875,
+    "n_cols": 4,
+    "n_rows": 3,
+    "std_cell_height": 0.1,
+    "std_cell_width": 0.125
+  },
+  "les_stats": {
+    "denoised_count": 1,
+    "denoised_mean": 200.0,
+    "denoised_sem": 0.0,
+    "raw_count": 3,
+    "raw_mean": 101.1,
+    "raw_sem": 56.3
+  },
+  "per_cell": [
+    {
+      "col": 0,
+      "max_l": 210.5,
+      "mean_cx": 0.30000000000000004,
+      "mean_cy": 0.31,
+      "mean_l": 200.0,
+      "min_l": 190.25,
+      "predicted": "functional",
+      "row": 0,
+      "std_l": 4.75,
+      "truth": "functional"
+    },
+    {
+      "col": 2,
+      "max_l": 1e+16,
+      "mean_cx": 0.0,
+      "mean_cy": 5e-324,
+      "mean_l": 100.0,
+      "min_l": 1e-05,
+      "predicted": "defect",
+      "row": 0,
+      "std_l": 2.5,
+      "truth": "defect"
+    },
+    {
+      "col": 1,
+      "max_l": 7.0,
+      "mean_cx": 0.5,
+      "mean_cy": 0.5,
+      "mean_l": 3.3,
+      "min_l": 0.1,
+      "predicted": "defect",
+      "row": 1,
+      "std_l": 1.2345678901234567,
+      "truth": "functional"
+    }
+  ]
+}
+"""
+
+GOLDEN_FEATURES_CSV = """\
+row,col,mean_l,max_l,min_l,std_l,mean_cx,mean_cy
+0,0,200.0,210.5,190.25,4.75,0.30000000000000004,0.31
+0,2,100.0,1e+16,1e-05,2.5,0.0,5e-324
+1,1,3.3,7.0,0.1,1.2345678901234567,0.5,0.5
+"""
+
+# mean_l / peak is exactly 0.5 in the second cell: 127.5 rounds to even, #80.
+GOLDEN_OVERLAY_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 40.5 30.6">
+<rect x="0" y="0" width="40.5" height="30.6" fill="black"/>
+<rect x="0.50" y="0.50" width="9.75" height="9.50" fill="#ffffff"/>
+<rect x="20.00" y="0.50" width="9.75" height="9.50" fill="#808080"/>
+<rect x="10.25" y="10.00" width="9.75" height="9.50" fill="#040404"/>
+<line x1="0.50" y1="0.50" x2="0.50" y2="30.12" stroke="#3366cc" stroke-width="0.5"/>
+<line x1="10.25" y1="0.50" x2="10.25" y2="30.12" stroke="#3366cc" stroke-width="0.5"/>
+<line x1="20.00" y1="0.50" x2="20.00" y2="30.12" stroke="#3366cc" stroke-width="0.5"/>
+<line x1="29.75" y1="0.50" x2="29.75" y2="30.12" stroke="#3366cc" stroke-width="0.5"/>
+<line x1="40.00" y1="0.50" x2="40.00" y2="30.12" stroke="#3366cc" stroke-width="0.5"/>
+<line x1="0.50" y1="0.50" x2="40.00" y2="0.50" stroke="#3366cc" stroke-width="0.5"/>
+<line x1="0.50" y1="10.00" x2="40.00" y2="10.00" stroke="#3366cc" stroke-width="0.5"/>
+<line x1="0.50" y1="19.50" x2="40.00" y2="19.50" stroke="#3366cc" stroke-width="0.5"/>
+<line x1="0.50" y1="30.12" x2="40.00" y2="30.12" stroke="#3366cc" stroke-width="0.5"/>
+<rect x="20.00" y="0.50" width="9.75" height="9.50" fill="none" stroke="#dd2222" stroke-width="1.2"/>
+<rect x="10.25" y="10.00" width="9.75" height="9.50" fill="none" stroke="#dd2222" stroke-width="1.2"/>
+</svg>
+"""
+
+
+def test_writers_reproduce_golden_bytes():
+    report, text = write_report(GOLDEN_CELLS, GOLDEN_DEFECTIVE, GOLDEN_TRUTH)
+    assert_same_text(text, GOLDEN_REPORT_JSON)
+    assert_same_text(oracle_json(report), GOLDEN_REPORT_JSON)
+    assert features.to_csv(features.text_columns(GOLDEN_CELLS)) == GOLDEN_FEATURES_CSV
+    assert pipeline._overlay_svg(GOLDEN_GRID, GOLDEN_CELLS, GOLDEN_DEFECTIVE) == GOLDEN_OVERLAY_SVG
+
+
+def test_overlay_heat_levels_round_half_to_even_like_python():
+    # 255 * (x / 510) is exactly k + 0.5 for every odd x, so each level below
+    # is a tie; the writer must break it as Python's round does.
+    mean_l = np.append(np.arange(1.0, 510.0, 2.0), 510.0)
+    n = len(mean_l)
+    cells = features.CellTable(
+        rows=np.zeros(n, np.int64), cols=np.arange(n),
+        values=np.column_stack([mean_l, mean_l, mean_l, np.zeros(n), np.full((n, 2), 0.5)]),
+    )
+    pixel_grid = grid.PixelGrid(np.arange(n + 1) * 2.0, np.array([0.0, 2.0]), np.ones((1, n), dtype=bool))
+    svg = pipeline._overlay_svg(pixel_grid, cells, np.zeros(n, dtype=bool))
+    levels = [int(level, 16) for level in re.findall(r'fill="#([0-9a-f]{2})\1\1"', svg)]
+    assert levels == [int(round(255 * min(max(v, 0.0), 1.0))) for v in (mean_l / 510.0).tolist()]
+    assert levels[:4] == [0, 2, 2, 4]
