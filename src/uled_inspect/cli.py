@@ -105,7 +105,7 @@ def _parse_corner_list(text: str) -> tuple[tuple[float, float], ...]:
 
 def _cmd_analyze(args) -> int:
     try:
-        corners = _parse_corner_list(args.corners) if args.corners else None
+        corners = _parse_corner_list(args.corners) if args.corners is not None else None
         config = pipeline.PipelineConfig(
             frame_path=args.frame,
             output_dir=args.out,

@@ -1,7 +1,8 @@
 """Scoring against ground truth and defect-excluded surface statistics.
 
-The confusion matrix is stored with rows = truth, columns = prediction.  The
-surface statistics come in two flavors: 'raw' averages every interior cell,
+The confusion matrix stores its four counts (rows = truth, columns =
+prediction) and derives accuracy and the two rates from them.  The surface
+statistics come in two flavors: 'raw' averages every interior cell,
 'denoised' averages only the functional-labeled ones; including dark defect
 cells drags the raw mean below the true performance of the emitting surface,
 which is exactly the bias the denoised figure removes.  Uncertainties are
@@ -15,21 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .grid import PixelGrid
-from .io import DefectMap
 
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
+    """The four counts; the rates are derived from them."""
+
     true_functional_pred_functional: int
     true_functional_pred_defect: int
     true_defect_pred_functional: int
     true_defect_pred_defect: int
-    accuracy: float
-    false_negative_rate: float
-    false_positive_rate: float
-    fnr_undefined: bool = False
-    fpr_undefined: bool = False
 
     def __post_init__(self):
         counts = (
@@ -40,46 +36,40 @@ class ConfusionMatrix:
         )
         if any(c < 0 for c in counts) or sum(counts) == 0:
             raise EvaluationError(f"invalid confusion counts {counts}")
-        total = sum(counts)
-        correct = self.true_functional_pred_functional + self.true_defect_pred_defect
-        if abs(self.accuracy - correct / total) > 1e-12:
-            raise EvaluationError("accuracy inconsistent with counts")
-        functional = self.true_functional_pred_functional + self.true_functional_pred_defect
-        defect = self.true_defect_pred_functional + self.true_defect_pred_defect
-        expected_fnr = self.true_functional_pred_defect / functional if functional else 0.0
-        expected_fpr = self.true_defect_pred_functional / defect if defect else 0.0
-        if abs(self.false_negative_rate - expected_fnr) > 1e-12:
-            raise EvaluationError("false negative rate inconsistent with counts")
-        if abs(self.false_positive_rate - expected_fpr) > 1e-12:
-            raise EvaluationError("false positive rate inconsistent with counts")
 
     @property
     def total(self) -> int:
-        return (
-            self.true_functional_pred_functional
-            + self.true_functional_pred_defect
-            + self.true_defect_pred_functional
-            + self.true_defect_pred_defect
-        )
+        return self._functional + self._defect
 
-    @classmethod
-    def from_counts(cls, tf_pf: int, tf_pd: int, td_pf: int, td_pd: int) -> "ConfusionMatrix":
-        total = tf_pf + tf_pd + td_pf + td_pd
-        if total == 0:
-            raise EvaluationError("confusion matrix over zero cells")
-        functional = tf_pf + tf_pd
-        defect = td_pf + td_pd
-        return cls(
-            true_functional_pred_functional=tf_pf,
-            true_functional_pred_defect=tf_pd,
-            true_defect_pred_functional=td_pf,
-            true_defect_pred_defect=td_pd,
-            accuracy=(tf_pf + td_pd) / total,
-            false_negative_rate=tf_pd / functional if functional else 0.0,
-            false_positive_rate=td_pf / defect if defect else 0.0,
-            fnr_undefined=functional == 0,
-            fpr_undefined=defect == 0,
-        )
+    @property
+    def _functional(self) -> int:
+        return self.true_functional_pred_functional + self.true_functional_pred_defect
+
+    @property
+    def _defect(self) -> int:
+        return self.true_defect_pred_functional + self.true_defect_pred_defect
+
+    @property
+    def accuracy(self) -> float:
+        return (self.true_functional_pred_functional + self.true_defect_pred_defect) / self.total
+
+    @property
+    def false_negative_rate(self) -> float:
+        """Share of the truly functional cells predicted defective; 0.0 if none."""
+        return self.true_functional_pred_defect / self._functional if self._functional else 0.0
+
+    @property
+    def false_positive_rate(self) -> float:
+        """Share of the truly defective cells predicted functional; 0.0 if none."""
+        return self.true_defect_pred_functional / self._defect if self._defect else 0.0
+
+    @property
+    def fnr_undefined(self) -> bool:
+        return self._functional == 0
+
+    @property
+    def fpr_undefined(self) -> bool:
+        return self._defect == 0
 
 
 @dataclass(frozen=True)
@@ -98,23 +88,14 @@ class LesStats:
             raise EvaluationError("negative standard error")
 
 
-def confusion(defective: np.ndarray, truth: DefectMap, grid: PixelGrid) -> ConfusionMatrix:
-    """Score interior-cell predictions against the ground-truth map.
-
-    The defective mask must cover exactly the interior cells in row-major
-    order, and the truth map must match the full reconstructed grid.
-    """
-    predicted = np.asarray(defective, dtype=bool)
-    n_cells = int(np.count_nonzero(grid.interior))
-    if len(predicted) != n_cells:
-        raise EvaluationError(f"{len(predicted)} predictions for {n_cells} interior cells")
-    if truth.rows != grid.n_rows or truth.cols != grid.n_cols:
-        raise EvaluationError(
-            f"truth map {truth.rows}x{truth.cols} does not match grid "
-            f"{grid.n_rows}x{grid.n_cols}"
-        )
-    actual = truth.defective[grid.interior]
-    return ConfusionMatrix.from_counts(
+def confusion(predicted: np.ndarray, actual: np.ndarray) -> ConfusionMatrix:
+    """Score per-cell defect predictions against the per-cell truth, two
+    boolean masks over the same cells in the same order."""
+    predicted = np.asarray(predicted, dtype=bool)
+    actual = np.asarray(actual, dtype=bool)
+    if predicted.shape != actual.shape:
+        raise EvaluationError(f"{len(predicted)} predictions for {len(actual)} truth cells")
+    return ConfusionMatrix(
         int(np.count_nonzero(~actual & ~predicted)),
         int(np.count_nonzero(~actual & predicted)),
         int(np.count_nonzero(actual & ~predicted)),

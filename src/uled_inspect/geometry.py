@@ -248,6 +248,9 @@ def _intersect(p1, d1, p2, d2, fallback):
     return p1 + t * d1
 
 
+# Samples at or above this fraction of the frame's peak luminance belong to
+# the bright region whose corners detect_corners fits.
+CORNER_REL_THRESHOLD = 0.1
 _SIDE_TRIM = 0.08
 _SIDE_RESIDUAL_PX = 1.5
 
@@ -278,49 +281,59 @@ def _fit_side(points: np.ndarray, trim_axis: int, fallback: tuple[np.ndarray, np
     return point, direction
 
 
-def detect_corners(frame: MeasurementFrame, rel_threshold: float) -> list[Point]:
+def _boundary_points(mask: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """The (x, y) footprint edges of the extreme True samples of mask: for each
+    of rows, the left edge of its first and the right edge of its last True
+    sample at the row's center; for each of cols, the top edge of its first
+    and the bottom edge of its last at the column's center.  Every listed row
+    and column holds a True sample.  Returns left, right, top and bottom as
+    (n, 2) float64 arrays.
+    """
+    # argmax finds the first True; on the reversed mask, the last one.
+    height, width = mask.shape
+    first_col = mask.argmax(axis=1)[rows]
+    last_col = width - 1 - mask[:, ::-1].argmax(axis=1)[rows]
+    first_row = mask.argmax(axis=0)[cols]
+    last_row = height - 1 - mask[::-1].argmax(axis=0)[cols]
+    return (
+        np.column_stack([first_col, rows + 0.5]),
+        np.column_stack([last_col + 1.0, rows + 0.5]),
+        np.column_stack([cols + 0.5, first_row]),
+        np.column_stack([cols + 0.5, last_row + 1.0]),
+    )
+
+
+def detect_corners(frame: MeasurementFrame) -> list[Point]:
     """Locate the four corners of the bright region, ordered TL, TR, BR, BL.
 
-    Thresholds the luminance at rel_threshold * max and fits the four boundary
-    lines of the retained samples' pixel footprints (per-row extremes for the
-    left/right sides, per-column extremes for top/bottom).  Adjacent side
-    intersections give the quad enclosing the bright region.  Assumes the
+    Thresholds the luminance at CORNER_REL_THRESHOLD * max and fits the four
+    boundary lines of the retained samples' pixel footprints (per-row extremes
+    for the left/right sides, per-column extremes for top/bottom).  Adjacent
+    side intersections give the quad enclosing the bright region.  Assumes the
     array is within +-45 degrees of axis-aligned, which the measurement
     geometry guarantees.
     """
-    if not 0.0 < rel_threshold < 1.0:
-        raise GeometryError(f"rel_threshold must lie in (0, 1), got {rel_threshold}")
     lum = frame.luminance
     peak = float(lum.max())
     if peak <= 0.0:
         raise GeometryError("frame has no positive luminance; cannot detect corners")
-    mask = lum >= rel_threshold * peak
+    mask = lum >= CORNER_REL_THRESHOLD * peak
 
     rows = np.nonzero(mask.any(axis=1))[0]
     cols = np.nonzero(mask.any(axis=0))[0]
     if rows.size < 2 or cols.size < 2:
         raise GeometryError("fewer than 4 boundary candidates above threshold")
 
-    left_pts, right_pts = [], []
-    for r in rows.tolist():
-        line = np.nonzero(mask[r])[0]
-        left_pts.append((float(line[0]), r + 0.5))
-        right_pts.append((float(line[-1]) + 1.0, r + 0.5))
-    top_pts, bottom_pts = [], []
-    for c in cols.tolist():
-        line = np.nonzero(mask[:, c])[0]
-        top_pts.append((c + 0.5, float(line[0])))
-        bottom_pts.append((c + 0.5, float(line[-1]) + 1.0))
-
+    left_pts, right_pts, top_pts, bottom_pts = _boundary_points(mask, rows, cols)
     x_lo, x_hi = float(cols[0]), float(cols[-1]) + 1.0
     y_lo, y_hi = float(rows[0]), float(rows[-1]) + 1.0
     down = np.array([0.0, 1.0])
     across = np.array([1.0, 0.0])
     sides = {
-        "left": _fit_side(np.asarray(left_pts), 1, (np.array([x_lo, 0.0]), down)),
-        "right": _fit_side(np.asarray(right_pts), 1, (np.array([x_hi, 0.0]), down)),
-        "top": _fit_side(np.asarray(top_pts), 0, (np.array([0.0, y_lo]), across)),
-        "bottom": _fit_side(np.asarray(bottom_pts), 0, (np.array([0.0, y_hi]), across)),
+        "left": _fit_side(left_pts, 1, (np.array([x_lo, 0.0]), down)),
+        "right": _fit_side(right_pts, 1, (np.array([x_hi, 0.0]), down)),
+        "top": _fit_side(top_pts, 0, (np.array([0.0, y_lo]), across)),
+        "bottom": _fit_side(bottom_pts, 0, (np.array([0.0, y_hi]), across)),
     }
     corners = []
     for first, second, fallback in (

@@ -15,7 +15,7 @@ thread-parallel fit returns bit-identical results to the sequential one.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class KMeansModel:
     centroids: np.ndarray
     labels: np.ndarray
     inertia: float
-    config: KMeansConfig = field(default_factory=KMeansConfig)
 
 
 def standardize_fit_transform(X) -> np.ndarray:
@@ -227,7 +226,7 @@ def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: in
     centroids, labels, inertia = results[best]
     centroids.setflags(write=False)
     labels.setflags(write=False)
-    return KMeansModel(centroids=centroids, labels=labels, inertia=inertia, config=config)
+    return KMeansModel(centroids=centroids, labels=labels, inertia=inertia)
 
 
 SEPARATION_FACTOR = 4.0

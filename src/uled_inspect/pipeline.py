@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, features, geometry, grid, io, ml
-from .errors import ConfigError, PipelineStageError
+from .errors import ConfigError, EvaluationError, PipelineStageError
 
 RECTIFY_MARGIN_PX = 10.0
 
@@ -45,7 +45,6 @@ class PipelineConfig:
     output_dir: str
     defects_path: str | None = None
     corners: tuple[tuple[float, float], ...] | None = None
-    rel_threshold: float = 0.1
     kmeans: ml.KMeansConfig = field(default_factory=ml.KMeansConfig)
     threads: int = 1
 
@@ -56,15 +55,19 @@ class PipelineConfig:
             if not all(len(p) == 2 and all(math.isfinite(v) for v in p) for p in self.corners):
                 raise ConfigError(f"explicit corners need finite (x, y) points, got {self.corners}")
             _quad_size(self.corners)
-        if not 0.0 < self.rel_threshold < 1.0:
-            raise ConfigError(f"rel_threshold must lie in (0, 1), got {self.rel_threshold}")
         if self.threads < 1:
             raise ConfigError(f"threads must be positive, got {self.threads}")
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Structured run result plus the emitted artifact paths."""
+    """Structured run result plus the emitted artifact paths.
+
+    report holds the summary sections of report.json: grid_metrics,
+    confusion, les_stats and flags.  The per-cell result is cells with the
+    matching defective mask; the per_cell block of report.json is written
+    from them.
+    """
 
     report: dict
     artifacts: tuple[Path, ...]
@@ -151,51 +154,31 @@ def _overlay_svg(pixel_grid: grid.PixelGrid, cells: features.CellTable, defectiv
     return "\n".join(parts) + "\n"
 
 
-def _statuses(
-    cells: features.CellTable, defective: np.ndarray, truth: io.DefectMap | None
-) -> dict[str, np.ndarray]:
-    """Per-cell defect masks: "predicted", and "truth" when a defect map was supplied."""
-    masks = {"predicted": defective}
-    if truth is not None:
-        masks["truth"] = truth.defective[cells.rows, cells.cols]
-    return masks
-
-
-def _per_cell(cells: features.CellTable, defective: np.ndarray, truth: io.DefectMap | None) -> list[dict]:
-    """The report's per-cell entries: grid position, descriptors and statuses."""
-    columns = {
-        "row": cells.rows.tolist(),
-        "col": cells.cols.tolist(),
-        **{name: cells.values[:, k].tolist() for k, name in enumerate(features.COLUMNS)},
-    }
-    for key, mask in _statuses(cells, defective, truth).items():
-        columns[key] = np.where(mask, STATUS_DEFECT, STATUS_FUNCTIONAL).tolist()
-    return [dict(zip(columns, entry)) for entry in zip(*columns.values())]
-
-
 def _cell_text(
-    cells: features.CellTable, defective: np.ndarray, truth: io.DefectMap | None
+    cells: features.CellTable, defective: np.ndarray, truth_cells: np.ndarray | None
 ) -> dict[str, list[str]]:
     """The JSON text of every field of every per-cell entry, keyed by field.
 
-    The features.csv columns come from features.text_columns; the statuses are
-    the quoted literals.
+    The features.csv columns come from features.text_columns; the statuses
+    "predicted" and, when per-cell truth is given, "truth" are the quoted
+    literals.
     """
     quoted = (json.dumps(STATUS_FUNCTIONAL), json.dumps(STATUS_DEFECT))
     text = features.text_columns(cells)
-    for key, mask in _statuses(cells, defective, truth).items():
-        text[key] = [quoted[bad] for bad in mask.tolist()]
+    for key, mask in (("predicted", defective), ("truth", truth_cells)):
+        if mask is not None:
+            text[key] = [quoted[bad] for bad in mask.tolist()]
     return text
 
 
 def _report_json(report: dict, cell_text: dict[str, list[str]]) -> str:
-    """report.json, byte for byte json.dumps(report, sort_keys=True, indent=2)
-    plus a newline, where cell_text (see _cell_text) holds report["per_cell"]
-    as text.
+    """report.json: the summary sections of report plus a "per_cell" list
+    whose entries cell_text (see _cell_text) holds as text, byte for byte
+    json.dumps(..., sort_keys=True, indent=2) of the whole plus a newline.
 
     With indent set, json.dumps leaves its C encoder for the pure-Python one,
-    which is slow on tens of thousands of per-cell entries.  So only the rest
-    of the report goes through json.dumps, with "per_cell" emptied, and the
+    which is slow on tens of thousands of per-cell entries.  So only the
+    summary goes through json.dumps, with an empty "per_cell", and the
     per-cell block is made from cell_text with one %-template per entry, keys
     sorted, and spliced in where the empty list stands.  The texts are json's
     own encodings: str of an int, the quoted status, and repr of a float,
@@ -229,7 +212,7 @@ def run(config: PipelineConfig) -> ClassificationReport:
         if config.corners is not None:
             corners = [tuple(map(float, p)) for p in config.corners]
         else:
-            corners = geometry.detect_corners(frame, config.rel_threshold)
+            corners = geometry.detect_corners(frame)
     with _stage("rectify"):
         rectified, _ = _rectify(frame, corners)
     with _stage("project"):
@@ -250,10 +233,16 @@ def run(config: PipelineConfig) -> ClassificationReport:
         mean_l = cells.column("mean_l")
         defective, degenerate = ml.label_clusters(model, mean_l)
 
-    confusion_matrix = None
+    confusion_matrix = truth_cells = None
     if truth is not None:
         with _stage("confusion"):
-            confusion_matrix = evaluation.confusion(defective, truth, pixel_grid)
+            if (truth.rows, truth.cols) != (pixel_grid.n_rows, pixel_grid.n_cols):
+                raise EvaluationError(
+                    f"truth map {truth.rows}x{truth.cols} does not match grid "
+                    f"{pixel_grid.n_rows}x{pixel_grid.n_cols}"
+                )
+            truth_cells = truth.defective[cells.rows, cells.cols]
+            confusion_matrix = evaluation.confusion(defective, truth_cells)
     with _stage("les_stats"):
         les = evaluation.les_statistics(mean_l, defective)
 
@@ -266,20 +255,21 @@ def run(config: PipelineConfig) -> ClassificationReport:
     confusion_section = None
     if confusion_matrix is not None:
         confusion_section = asdict(confusion_matrix)
+        for key in ("accuracy", "false_negative_rate", "false_positive_rate"):
+            confusion_section[key] = getattr(confusion_matrix, key)
         for key in ("fnr_undefined", "fpr_undefined"):
-            flags[key] = confusion_section.pop(key)
+            flags[key] = getattr(confusion_matrix, key)
     report = {
         "grid_metrics": {**asdict(metrics), "n_rows": pixel_grid.n_rows, "n_cols": pixel_grid.n_cols},
         "confusion": confusion_section,
         "les_stats": asdict(les),
-        "per_cell": _per_cell(cells, defective, truth),
         "flags": flags,
     }
 
     out_dir = Path(config.output_dir)
     with _stage("artifacts"):
         out_dir.mkdir(parents=True, exist_ok=True)
-        cell_text = _cell_text(cells, defective, truth)
+        cell_text = _cell_text(cells, defective, truth_cells)
         payloads = {
             "report.json": _report_json(report, cell_text),
             "projections_x.csv": proj_x.to_csv(),

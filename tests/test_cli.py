@@ -206,8 +206,9 @@ def test_analyze_auto_corners_flag(generated, tmp_path, capsys):
 def test_analyze_bad_corners_exits_2(generated, tmp_path, capsys):
     _, frame, _ = generated
     out = tmp_path / "out"
-    # too few numbers, a 1 px quad, a NaN coordinate: config errors, not stage failures
-    for corners in ("1,2,3", "10,10,11,10,11,11,10,11", "10,10,11,10,nan,11,10,11"):
+    # too few numbers, none at all, a 1 px quad, a NaN coordinate: config
+    # errors, not stage failures
+    for corners in ("1,2,3", "", "10,10,11,10,11,11,10,11", "10,10,11,10,nan,11,10,11"):
         code = main(["analyze", "--frame", str(frame), "--corners", corners, "--out", str(out)])
         assert code == 2, corners
         assert "stage" not in capsys.readouterr().err

@@ -1,25 +1,26 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from uled_inspect import evaluation, grid
 from uled_inspect.errors import EvaluationError
 from uled_inspect.evaluation import ConfusionMatrix, LesStats, confusion, les_statistics
-from uled_inspect.io import DefectMap
-
-
-def grid_with_interior(n_interior_side):
-    edges = np.arange(n_interior_side + 3) * 10.0
-    return grid.build_grid(edges, edges)
 
 
 def mask(*defective):
     return np.array(defective, dtype=bool)
 
 
+def truth_cells(n, *defects):
+    """Per-cell truth of n cells, the given indices defective."""
+    actual = np.zeros(n, dtype=bool)
+    actual[list(defects)] = True
+    return actual
+
+
 def test_confusion_perfect_prediction():
-    g = grid_with_interior(10)  # 10x10 interior cells
-    truth = DefectMap.from_cells(12, 12, [(1, 1), (5, 5), (9, 9)])
-    matrix = confusion(truth.defective[1:-1, 1:-1].ravel(), truth, g)
+    actual = truth_cells(100, 11, 55, 99)
+    matrix = confusion(actual.copy(), actual)
     assert matrix.accuracy == 1.0
     assert matrix.false_negative_rate == 0.0
     assert matrix.false_positive_rate == 0.0
@@ -28,44 +29,46 @@ def test_confusion_perfect_prediction():
 
 
 def test_confusion_all_functional_prediction():
-    g = grid_with_interior(10)
-    truth = DefectMap.from_cells(12, 12, [(1, 1), (5, 5), (9, 9)])
-    matrix = confusion(np.zeros(100, dtype=bool), truth, g)
+    matrix = confusion(np.zeros(100, dtype=bool), truth_cells(100, 11, 55, 99))
     assert matrix.accuracy == pytest.approx(0.97)
     assert matrix.false_positive_rate == 1.0
     assert matrix.false_negative_rate == 0.0
 
 
 def test_confusion_dimension_mismatch():
-    g = grid_with_interior(10)
-    truth = DefectMap.from_cells(9, 9, [])
-    with pytest.raises(EvaluationError, match="does not match"):
-        confusion(np.zeros(100, dtype=bool), truth, g)
-    truth_ok = DefectMap.from_cells(12, 12, [])
-    with pytest.raises(EvaluationError, match="predictions"):
-        confusion(np.zeros(99, dtype=bool), truth_ok, g)
+    with pytest.raises(EvaluationError, match="99 predictions for 100 truth cells"):
+        confusion(np.zeros(99, dtype=bool), truth_cells(100))
 
 
 def test_confusion_zero_defect_population_flagged():
-    g = grid_with_interior(10)
-    truth = DefectMap.from_cells(12, 12, [])
-    matrix = confusion(np.zeros(100, dtype=bool), truth, g)
+    matrix = confusion(np.zeros(100, dtype=bool), truth_cells(100))
     assert matrix.false_positive_rate == 0.0
     assert matrix.fpr_undefined
     assert not matrix.fnr_undefined
 
 
-def test_confusion_matrix_consistency_enforced():
-    with pytest.raises(EvaluationError, match="accuracy"):
-        ConfusionMatrix(
-            true_functional_pred_functional=9,
-            true_functional_pred_defect=0,
-            true_defect_pred_functional=0,
-            true_defect_pred_defect=1,
-            accuracy=0.5,
-            false_negative_rate=0.0,
-            false_positive_rate=0.0,
-        )
+def test_confusion_matrix_derives_rates_from_its_counts():
+    matrix = ConfusionMatrix(5, 1, 2, 3)
+    assert asdict(matrix) == {
+        "true_functional_pred_functional": 5, "true_functional_pred_defect": 1,
+        "true_defect_pred_functional": 2, "true_defect_pred_defect": 3,
+    }
+    assert matrix.total == 11
+    assert matrix.accuracy == 8 / 11
+    assert matrix.false_negative_rate == 1 / 6
+    assert matrix.false_positive_rate == 2 / 5
+    assert not matrix.fnr_undefined and not matrix.fpr_undefined
+    no_functional = ConfusionMatrix(0, 0, 1, 2)
+    assert no_functional.false_negative_rate == 0.0 and no_functional.fnr_undefined
+    assert no_functional.false_positive_rate == 1 / 3 and not no_functional.fpr_undefined
+
+
+def test_confusion_matrix_rejects_invalid_counts():
+    for counts in ((0, 0, 0, 0), (5, -1, 0, 1)):
+        with pytest.raises(EvaluationError, match="invalid confusion counts"):
+            ConfusionMatrix(*counts)
+    with pytest.raises(EvaluationError, match="invalid confusion counts"):
+        confusion(np.zeros(0, dtype=bool), np.zeros(0, dtype=bool))
 
 
 def test_les_all_functional_raw_equals_denoised():

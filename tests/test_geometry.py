@@ -309,7 +309,7 @@ def test_detect_corners_undistorted_within_2px():
         grid_rows=12, grid_cols=12, cell_size_px=20, gap_px=3, lum_sigma=5, seed=5
     )
     frame, _, corners = synthgen.generate(config)
-    detected = detect_corners(frame, 0.1)
+    detected = detect_corners(frame)
     for got, want in zip(detected, corners):
         assert math.hypot(got[0] - want[0], got[1] - want[1]) < 2.0
 
@@ -320,7 +320,7 @@ def test_detect_corners_rotated_order_preserved():
         rotation_deg=2.0, seed=6,
     )
     frame, _, corners = synthgen.generate(config)
-    detected = detect_corners(frame, 0.1)
+    detected = detect_corners(frame)
     for got, want in zip(detected, corners):
         assert math.hypot(got[0] - want[0], got[1] - want[1]) < 2.5
 
@@ -328,13 +328,39 @@ def test_detect_corners_rotated_order_preserved():
 def test_detect_corners_zero_frame_errors():
     frame = make_frame(np.zeros((10, 10)))
     with pytest.raises(GeometryError):
-        detect_corners(frame, 0.5)
+        detect_corners(frame)
 
 
-def test_detect_corners_threshold_validated():
-    frame = make_frame(np.ones((10, 10)))
-    with pytest.raises(GeometryError, match="rel_threshold"):
-        detect_corners(frame, 1.5)
+def boundary_points_by_loop(mask, rows, cols):
+    """Reference for geometry._boundary_points: one np.nonzero per row and
+    per column."""
+    left, right, top, bottom = [], [], [], []
+    for r in rows.tolist():
+        line = np.nonzero(mask[r])[0]
+        left.append((float(line[0]), r + 0.5))
+        right.append((float(line[-1]) + 1.0, r + 0.5))
+    for c in cols.tolist():
+        line = np.nonzero(mask[:, c])[0]
+        top.append((c + 0.5, float(line[0])))
+        bottom.append((c + 0.5, float(line[-1]) + 1.0))
+    return tuple(np.asarray(points) for points in (left, right, top, bottom))
+
+
+def test_boundary_points_match_per_row_loop():
+    rng = np.random.default_rng(11)
+    config = synthgen.SynthConfig(
+        grid_rows=8, grid_cols=8, cell_size_px=20, gap_px=3, rotation_deg=2.0, seed=9
+    )
+    lum = synthgen.generate(config)[0].luminance
+    masks = [lum >= 0.1 * lum.max(), rng.uniform(size=(37, 53)) < 0.05, np.eye(5, 7, 2, dtype=bool)]
+    for mask in masks:
+        rows = np.nonzero(mask.any(axis=1))[0]
+        cols = np.nonzero(mask.any(axis=0))[0]
+        assert rows.size < mask.shape[0] or cols.size < mask.shape[1]  # some lines hold no sample
+        got = geometry._boundary_points(mask, rows, cols)
+        for actual, expected in zip(got, boundary_points_by_loop(mask, rows, cols)):
+            assert actual.dtype == np.float64
+            np.testing.assert_array_equal(actual, expected)
 
 
 def test_detect_corners_dark_corner_cell_tolerated():
@@ -344,6 +370,6 @@ def test_detect_corners_dark_corner_cell_tolerated():
         defect_cells=((0, 0), (11, 11)), defect_residual=0.0, seed=7,
     )
     frame, _, corners = synthgen.generate(config)
-    detected = detect_corners(frame, 0.1)
+    detected = detect_corners(frame)
     for got, want in zip(detected, corners):
         assert math.hypot(got[0] - want[0], got[1] - want[1]) < 2.5

@@ -345,7 +345,6 @@ def test_label_clusters_brightness_ordering():
         centroids=np.array([[0.0, 0.0], [50.0, 0.0]]),
         labels=np.array([0, 0, 1, 1]),
         inertia=1.0,
-        config=KMeansConfig(),
     )
     defective, degenerate = label_clusters(model, mean_l)
     assert defective.tolist() == [False, False, True, True]
@@ -358,7 +357,6 @@ def test_label_clusters_all_one_cluster_degenerate():
         centroids=np.array([[0.0, 0.0], [0.0, 0.0]]),
         labels=np.zeros(3, dtype=np.int64),
         inertia=0.0,
-        config=KMeansConfig(),
     )
     defective, degenerate = label_clusters(model, mean_l)
     assert degenerate and defective.tolist() == [False] * 3
@@ -372,7 +370,6 @@ def test_label_clusters_weak_separation_degenerate():
         centroids=np.array([[0.0, 0.0], [1.0, 0.0]]),
         labels=np.array([0, 0, 1, 1]),
         inertia=4.0 * 1.0,
-        config=KMeansConfig(),
     )
     defective, degenerate = label_clusters(model, mean_l)
     assert degenerate and defective.tolist() == [False] * 4

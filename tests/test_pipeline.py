@@ -30,6 +30,29 @@ def fast_kmeans():
     return ml.KMeansConfig(n_init=15, seed=8)
 
 
+SUMMARY_SECTIONS = {"grid_metrics", "confusion", "les_stats", "flags"}
+
+
+def read_report(out_dir):
+    return json.loads((Path(out_dir) / "report.json").read_text())
+
+
+def per_cell_entries(cells, defective, truth_cells):
+    """report.json's per_cell entries built one dict per cell: the reference
+    the writers' text is checked against.  truth_cells is the per-cell truth
+    mask, or None when no defect map was given."""
+    status = ("functional", "defect")
+    entries = []
+    for k in range(len(cells)):
+        entry = {"row": int(cells.rows[k]), "col": int(cells.cols[k])}
+        entry.update(zip(features.COLUMNS, cells.values[k].tolist()))
+        entry["predicted"] = status[bool(defective[k])]
+        if truth_cells is not None:
+            entry["truth"] = status[bool(truth_cells[k])]
+        entries.append(entry)
+    return entries
+
+
 def test_run_emits_all_artifacts(tmp_path):
     _, frame_path, defects_path, _ = small_map(tmp_path)
     result = run(PipelineConfig(
@@ -40,8 +63,10 @@ def test_run_emits_all_artifacts(tmp_path):
         assert (tmp_path / "out" / name).is_file()
     assert result.confusion is not None
     assert result.report["grid_metrics"]["n_rows"] == 16
-    assert len(result.report["per_cell"]) == 14 * 14
-    assert result.report["per_cell"][0]["truth"] in ("functional", "defect")
+    assert len(result.cells) == len(result.defective) == 14 * 14
+    per_cell = read_report(tmp_path / "out")["per_cell"]
+    assert len(per_cell) == 14 * 14
+    assert per_cell[0]["truth"] in ("functional", "defect")
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -76,7 +101,7 @@ def test_run_without_defect_map_skips_confusion(tmp_path):
     assert result.confusion is None
     assert result.report["confusion"] is None
     assert result.report["flags"]["confusion_skipped"]
-    assert "truth" not in result.report["per_cell"][0]
+    assert "truth" not in read_report(tmp_path / "out")["per_cell"][0]
 
 
 def test_explicit_corners_match_auto(tmp_path):
@@ -104,7 +129,7 @@ def test_detected_degenerate_quad_fails_in_rectify(tmp_path, monkeypatch):
     quad = [(10.0, 10.0), (11.0, 10.0), (11.0, 11.0), (10.0, 11.0)]
     with pytest.raises(ConfigError, match="degenerate corner quad"):
         PipelineConfig(frame_path=str(frame_path), output_dir=str(tmp_path / "out"), corners=tuple(quad))
-    monkeypatch.setattr(pipeline.geometry, "detect_corners", lambda frame, rel_threshold: quad)
+    monkeypatch.setattr(pipeline.geometry, "detect_corners", lambda frame: quad)
     with pytest.raises(PipelineStageError, match="rectify"):
         run(PipelineConfig(frame_path=str(frame_path), output_dir=str(tmp_path / "out")))
 
@@ -113,11 +138,12 @@ def test_grid_truth_mismatch_names_stage(tmp_path):
     _, frame_path, _, _ = small_map(tmp_path)
     wrong = tmp_path / "wrong.csv"
     io.write_defect_map(io.DefectMap.from_cells(9, 9, []), wrong)
-    with pytest.raises(PipelineStageError, match="confusion"):
+    with pytest.raises(PipelineStageError, match="confusion") as info:
         run(PipelineConfig(
             frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
             defects_path=str(wrong), kmeans=fast_kmeans(),
         ))
+    assert "truth map 9x9 does not match grid 16x16" in str(info.value)
 
 
 def test_failed_run_leaves_no_artifacts(tmp_path, monkeypatch):
@@ -191,9 +217,14 @@ def test_report_json_schema(tmp_path):
         frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
         defects_path=str(defects_path), kmeans=fast_kmeans(),
     ))
-    on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert set(on_disk) == {"grid_metrics", "confusion", "les_stats", "per_cell", "flags"}
-    assert on_disk == result.report
+    on_disk = read_report(tmp_path / "out")
+    assert set(result.report) == SUMMARY_SECTIONS
+    assert set(on_disk) == SUMMARY_SECTIONS | {"per_cell"}
+    assert {key: on_disk[key] for key in SUMMARY_SECTIONS} == result.report
+    # Field by field: position, descriptors, prediction and per-cell truth.
+    cells = result.cells
+    truth_cells = io.read_defect_map(defects_path).defective[cells.rows, cells.cols]
+    assert on_disk["per_cell"] == per_cell_entries(cells, result.defective, truth_cells)
     assert set(on_disk["confusion"]) == {
         "true_functional_pred_functional", "true_functional_pred_defect",
         "true_defect_pred_functional", "true_defect_pred_defect",
@@ -240,12 +271,10 @@ def test_invalid_pipeline_config():
     with pytest.raises(ConfigError):
         PipelineConfig(frame_path="x", output_dir="y", corners=((0, 0), (1, 0)))
     with pytest.raises(ConfigError):
-        PipelineConfig(frame_path="x", output_dir="y", rel_threshold=1.5)
-    with pytest.raises(ConfigError):
         PipelineConfig(frame_path="x", output_dir="y", threads=0)
 
 
-# The report sections around per_cell, for the writer tests that build their
+# The summary sections of a report, for the writer tests that build their
 # inputs by hand.
 SECTIONS = {
     "grid_metrics": {
@@ -269,9 +298,11 @@ SECTIONS = {
 
 
 def write_report(cells, defective, truth):
-    """The report the writers get for these cells, and the report.json text."""
-    report = {**SECTIONS, "per_cell": pipeline._per_cell(cells, defective, truth)}
-    return report, pipeline._report_json(report, pipeline._cell_text(cells, defective, truth))
+    """The whole report these cells stand for, per_cell included, and the
+    report.json text the writers make of them."""
+    truth_cells = None if truth is None else truth.defective[cells.rows, cells.cols]
+    report = {**SECTIONS, "per_cell": per_cell_entries(cells, defective, truth_cells)}
+    return report, pipeline._report_json(SECTIONS, pipeline._cell_text(cells, defective, truth_cells))
 
 
 def oracle_json(report):
@@ -295,9 +326,12 @@ def test_report_json_matches_json_dumps_on_a_run(tmp_path, case):
         frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
         defects_path=None if case == "no_truth" else str(defects_path), kmeans=fast_kmeans(),
     ))
-    assert ("truth" in result.report["per_cell"][0]) == (case != "no_truth")
+    cells, truth_cells = result.cells, None
+    if case != "no_truth":
+        truth_cells = io.read_defect_map(defects_path).defective[cells.rows, cells.cols]
+    report = {**result.report, "per_cell": per_cell_entries(cells, result.defective, truth_cells)}
     written = (tmp_path / "out" / "report.json").read_text(encoding="ascii")
-    assert_same_text(written, oracle_json(result.report))
+    assert_same_text(written, oracle_json(report))
 
 
 def test_report_json_of_an_empty_table_keeps_the_empty_list():
