@@ -113,7 +113,7 @@ def _cmd_analyze(args) -> int:
             corners=corners,
             kmeans=ml.KMeansConfig(seed=args.seed, n_init=args.n_init),
         )
-    except (ConfigError, UledInspectError) as exc:
+    except UledInspectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -121,9 +121,6 @@ def _cmd_analyze(args) -> int:
     except PipelineStageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     metrics = result.grid_metrics
     summary = f"cell_size={metrics.mean_cell_width:.2f}x{metrics.mean_cell_height:.2f}px"
     if result.confusion is not None:

@@ -128,14 +128,15 @@ def apply_homography_array(h: Homography, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WarpPlan:
-    """Bilinear sampling plan of one inverse mapping: per tap, in the order
-    (0, 0), (0, 1), (1, 0), (1, 1) as (row, column) offsets, the flat source
-    index and the weight of every output sample.  A tap outside the source
-    has index 0 and weight 0.0."""
+    """Bilinear sampling plan of one inverse mapping into the zero-padded
+    source `np.pad(plane, 2)`: the flat index `base` of every output sample's
+    (0, 0) tap, and the `weights` of its (0, 0), (0, 1), (1, 0) and (1, 1)
+    taps as (row, column) offsets.  A tap outside the source reads the pad."""
 
     src_shape: tuple[int, int]
     out_shape: tuple[int, int]
-    taps: tuple[tuple[np.ndarray, np.ndarray], ...]
+    base: np.ndarray
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def warp_plan(inv: np.ndarray, out_width: int, out_height: int, src_shape: tuple[int, int]) -> WarpPlan:
@@ -146,36 +147,26 @@ def warp_plan(inv: np.ndarray, out_width: int, out_height: int, src_shape: tuple
     gx = (np.arange(out_width) + 0.5)[None, :]
     gy = (np.arange(out_height) + 0.5)[:, None]
     w = inv[2, 0] * gx + inv[2, 1] * gy + inv[2, 2]
-    valid = np.abs(w) >= _DET_EPS
-    w[~valid] = 1.0
+    horizon = np.abs(w) < _DET_EPS
+    w[horizon] = 1.0
     du = (inv[0, 0] * gx + inv[0, 1] * gy + inv[0, 2]) / w - 0.5
     dv = (inv[1, 0] * gx + inv[1, 1] * gy + inv[1, 2]) / w - 0.5
     del w
     # Fractional parts in place: no further output-sized float pair is made.
     iu = np.floor(du)
     du -= iu
-    iu = iu.astype(np.int64)
     iv = np.floor(dv)
     dv -= iv
-    iv = iv.astype(np.int64)
-
-    in_x = (valid & (iu >= 0) & (iu < w_src), valid & (iu >= -1) & (iu < w_src - 1))
-    in_y = ((iv >= 0) & (iv < h_src), (iv >= -1) & (iv < h_src - 1))
-    base = iv * w_src + iu
-    del iu, iv, valid
-    taps = []
-    for oy, ox, weight in (
-        (0, 0, (1 - du) * (1 - dv)),
-        (0, 1, du * (1 - dv)),
-        (1, 0, (1 - du) * dv),
-        (1, 1, du * dv),
-    ):
-        outside = ~(in_x[ox] & in_y[oy])
-        index = base + (oy * w_src + ox)
-        index[outside] = 0
-        weight[outside] = 0.0
-        taps.append((index.ravel(), weight.ravel()))
-    return WarpPlan((h_src, w_src), (out_height, out_width), tuple(taps))
+    # A top-left tap clamped into [-2, w_src] x [-2, h_src] keeps every tap
+    # inside the source where it was and moves every outside tap onto the
+    # pad; a horizon sample reads only the pad, at column w_src.
+    np.clip(iu, -2, w_src, out=iu)
+    iu[horizon] = w_src
+    np.clip(iv, -2, h_src, out=iv)
+    base = (iv.astype(np.int64) + 2) * (w_src + 4) + (iu.astype(np.int64) + 2)
+    del iu, iv, horizon
+    weights = ((1 - du) * (1 - dv), du * (1 - dv), (1 - du) * dv, du * dv)
+    return WarpPlan((h_src, w_src), (out_height, out_width), base, weights)
 
 
 def warp_plane(
@@ -185,12 +176,13 @@ def warp_plane(
 
     `plan` must come from `warp_plan(inv, out_width, out_height, plane.shape)`
     (built here when None), so the planes of one frame share the coordinate
-    work.  The result is bit-identical to gathering each tap only where it
-    lies inside the source, for planes that are finite and >= 0 (every
-    MeasurementFrame plane and every ideal plane of the generator): an outside
-    tap reads sample 0 with weight 0.0, which adds exactly +0.0, and the taps
-    are summed in the same order with the same weight expressions.  Only a
-    -0.0 sample can differ, coming out as -0.0 instead of +0.0.
+    work.  The taps are gathered from `np.pad(plane, 2)`, so an outside tap
+    adds `weight * +0.0 = +0.0`, the weight being finite and >= 0: exactly the
+    `0.0 * sample` of a tap masked to weight 0.0, for a sample >= 0.  So for
+    planes that are finite and >= 0 (every MeasurementFrame plane and every
+    ideal plane of the generator) the result is bit-identical to gathering
+    each tap only where it lies inside the source: the taps are summed in the
+    same order with the same weight expressions.
     """
     out_shape = (out_height, out_width)
     if plan is None:
@@ -200,12 +192,14 @@ def warp_plane(
             f"warp plan maps {plan.src_shape} onto {plan.out_shape}; got a {plane.shape} plane onto {out_shape}"
         )
     # A float32 sample times a float64 weight equals its float64 copy times it.
-    src = np.ravel(plane)
-    (index, weight), *rest = plan.taps
-    out = weight * src.take(index)
-    for index, weight in rest:
-        out += weight * src.take(index)
-    return out.reshape(out_shape)
+    src = np.pad(plane, 2).ravel()
+    row = plane.shape[1] + 4
+    w00, w01, w10, w11 = plan.weights
+    out = w00 * src.take(plan.base)
+    out += w01 * src[1:].take(plan.base)
+    out += w10 * src[row:].take(plan.base)
+    out += w11 * src[row + 1 :].take(plan.base)
+    return out
 
 
 def warp_frame(frame: MeasurementFrame, h: Homography, out_width: int, out_height: int) -> MeasurementFrame:

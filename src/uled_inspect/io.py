@@ -93,6 +93,11 @@ def _as_plane(values, height: int, width: int, name: str) -> np.ndarray:
     return arr
 
 
+def _check_grid_size(rows: int, cols: int) -> None:
+    if rows <= 0 or cols <= 0:
+        raise ValidationError(f"grid dimensions must be positive, got {rows}x{cols}")
+
+
 @dataclass(frozen=True)
 class DefectMap:
     """Immutable ground-truth defect mask over the uLED grid."""
@@ -102,8 +107,7 @@ class DefectMap:
     defective: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValidationError(f"grid dimensions must be positive, got {self.rows}x{self.cols}")
+        _check_grid_size(self.rows, self.cols)
         mask = np.asarray(self.defective, dtype=bool)
         if mask.size != self.rows * self.cols:
             raise ValidationError(
@@ -115,6 +119,7 @@ class DefectMap:
 
     @classmethod
     def from_cells(cls, rows: int, cols: int, cells) -> "DefectMap":
+        _check_grid_size(rows, cols)
         mask = np.zeros((rows, cols), dtype=bool)
         for r, c in cells:
             if not (0 <= r < rows and 0 <= c < cols):

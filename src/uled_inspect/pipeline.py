@@ -104,14 +104,14 @@ def _quad_size(corners) -> tuple[float, float]:
     return width, height
 
 
-def _rectify(frame: io.MeasurementFrame, corners) -> tuple[io.MeasurementFrame, geometry.Homography]:
+def _rectify(frame: io.MeasurementFrame, corners) -> io.MeasurementFrame:
     width, height = _quad_size(corners)
     m = RECTIFY_MARGIN_PX
     dst = [(m, m), (m + width, m), (m + width, m + height), (m, m + height)]
     h = geometry.estimate_homography(corners, dst)
     out_w = int(math.ceil(width + 2 * m))
     out_h = int(math.ceil(height + 2 * m))
-    return geometry.warp_frame(frame, h, out_w, out_h), h
+    return geometry.warp_frame(frame, h, out_w, out_h)
 
 
 def _reconstruct(projection: grid.AxisProjection) -> np.ndarray:
@@ -214,7 +214,7 @@ def run(config: PipelineConfig) -> ClassificationReport:
         else:
             corners = geometry.detect_corners(frame)
     with _stage("rectify"):
-        rectified, _ = _rectify(frame, corners)
+        rectified = _rectify(frame, corners)
     with _stage("project"):
         proj_x, proj_y = grid.project(rectified)
     with _stage("reconstruct_grid"):

@@ -227,7 +227,7 @@ def generate(config: SynthConfig) -> tuple[MeasurementFrame, DefectMap, list[tup
     # Outside the warped ideal raster the chroma blend must stay at the mean,
     # not the warp's zero fill.
     support = geometry.warp_plane(np.ones_like(ideal_lum), inv, out_width, out_height, plan)
-    del plan  # eight output-sized arrays; free them before the noise draw
+    del plan  # five output-sized arrays; free them before the noise draw
     chroma_x = chroma_x + (1.0 - support) * config.chroma_mean_x
     chroma_y = chroma_y + (1.0 - support) * config.chroma_mean_y
 

@@ -268,24 +268,36 @@ def _rotation_perspective_inverse():
     return Homography(m).inverse().matrix
 
 
-@pytest.mark.parametrize("case", ["identity", "rotation_perspective", "ones"])
+@pytest.mark.parametrize("case", ["identity", "rotation_perspective", "ones", "horizon", "past_the_pad"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype):
     rng = np.random.default_rng(21)
     shape = (40, 50)
     plane = rng.uniform(0, 80, size=shape).astype(dtype)
+    inv, out_width, out_height = _rotation_perspective_inverse(), 72, 64
     if case == "identity":
         inv, out_width, out_height = np.eye(3), 50, 40
-    else:
-        inv, out_width, out_height = _rotation_perspective_inverse(), 72, 64
-    if case == "ones":
+    elif case == "horizon":
+        # Output column 32 (center x = 32.5) maps to the horizon, w = 0.
+        inv = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1 / 32.5, 0.0, 1.0]])
+        gx = np.arange(out_width) + 0.5
+        assert np.count_nonzero(np.abs(inv[2, 0] * gx + inv[2, 2]) < 1e-12) == 1
+    elif case == "past_the_pad":
+        # A 25 px translation: most samples lie more than 2 px beyond the
+        # source, so the clamp of the top-left tap decides what they read.
+        inv = np.array([[1.0, 0.0, -25.0], [0.0, 1.0, -25.0], [0.0, 0.0, 1.0]])
+    elif case == "ones":
         plane = np.ones(shape, dtype=dtype)
     expected = masked_warp_oracle(plane, inv, out_width, out_height)
     plan = geometry.warp_plan(inv, out_width, out_height, shape)
     if case != "identity":
-        outside = [(weight == 0.0) & (index == 0) for index, weight in plan.taps]
-        assert all(mask.any() for mask in outside)
-        assert not np.all(outside[0])
+        # Some samples read border taps of the 2-sample zero pad and some do not.
+        h_src, w_src = shape
+        row, col = np.divmod(plan.base, w_src + 4)
+        reads_pad = (row < 2) | (row > h_src) | (col < 2) | (col > w_src)
+        assert reads_pad.any() and not reads_pad.all()
+        if case == "past_the_pad":
+            assert np.mean((row == 0) | (col == 0)) > 0.5
     for out in (
         geometry.warp_plane(plane, inv, out_width, out_height, plan),
         geometry.warp_plane(plane, inv, out_width, out_height),

@@ -174,6 +174,14 @@ def test_defect_map_out_of_range(tmp_path):
         io.read_defect_map(path)
 
 
+@pytest.mark.parametrize("header, size", [("-1,5", "-1x5"), ("3,-2", "3x-2")])
+def test_defect_map_non_positive_size(tmp_path, header, size):
+    path = tmp_path / "d.csv"
+    path.write_text(f"{header}\n")
+    with pytest.raises(ValidationError, match=f"grid dimensions must be positive, got {size}"):
+        io.read_defect_map(path)
+
+
 def test_defect_map_round_trip(tmp_path):
     defects = io.DefectMap.from_cells(5, 7, [(0, 1), (4, 6), (2, 3)])
     path = tmp_path / "d.csv"
