@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .io import DefectMap, MeasurementFrame, read_defect_map, read_frame, write_defect_map, write_frame
 from .synthgen import SynthConfig, generate
 from .geometry import Homography, apply_homography, detect_corners, estimate_homography, warp_frame
-from .grid import AxisProjection, GridMetrics, PixelGrid, build_grid, cell_size, detect_edges, estimate_period, project
+from .grid import GridMetrics, PixelGrid, build_grid, cell_size, detect_edges, estimate_period, project
 from .features import CellTable, extract
 from .ml import (
     KMeansConfig,
@@ -36,7 +36,6 @@ __all__ = [
     "apply_homography",
     "warp_frame",
     "detect_corners",
-    "AxisProjection",
     "PixelGrid",
     "GridMetrics",
     "project",

@@ -213,12 +213,10 @@ def warp_frame(frame: MeasurementFrame, h: Homography, out_width: int, out_heigh
         raise GeometryError(f"output size must be positive, got {out_width}x{out_height}")
     inv = h.inverse().matrix
     plan = warp_plan(inv, out_width, out_height, frame.luminance.shape)
-    lum = warp_plane(frame.luminance, inv, out_width, out_height, plan)
-    if frame.has_chroma:
-        cx = warp_plane(frame.chroma_x, inv, out_width, out_height, plan)
-        cy = warp_plane(frame.chroma_y, inv, out_width, out_height, plan)
-        return MeasurementFrame(out_width, out_height, lum, np.clip(cx, 0.0, 1.0), np.clip(cy, 0.0, 1.0))
-    return MeasurementFrame(out_width, out_height, lum)
+    planes = [frame.luminance] + ([frame.chroma_x, frame.chroma_y] if frame.has_chroma else [])
+    lum, *chroma = [warp_plane(plane, inv, out_width, out_height, plan) for plane in planes]
+    del plan  # five output-sized arrays; free them before the chroma clip and the frame checks
+    return MeasurementFrame(out_width, out_height, lum, *(np.clip(c, 0.0, 1.0) for c in chroma))
 
 
 def _fit_line(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

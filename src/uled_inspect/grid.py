@@ -3,10 +3,12 @@
 The luminance image is summed over rows (x-projection) and over columns
 (y-projection); the dark inter-cell borders make both projections periodic.
 Edges are recovered period-first: autocorrelation fixes the pitch, a phase fit
-places a nominal edge comb, and each edge is refined to the nearest local
-minimum of the smoothed projection.  Windows without a usable minimum keep
-their nominal position, which is what lets the comb bridge clusters of
-defective cells.
+places a nominal edge comb, and each edge is refined to the nearest valley of
+the smoothed projection.  The valleys are listed once per axis, in a table of
+every strict local minimum (a run of equal samples counts as one) with its
+first index, last index and position.  Teeth without a usable valley take
+their position from a comb re-fit through the measured ones, which is what
+lets the comb bridge clusters of defective cells.
 
 Edge coordinates are continuous image coordinates (projection bin i covers
 [i, i+1), center i + 0.5).
@@ -28,29 +30,6 @@ _SUPPORT_REL = 0.1
 _PHASE_STEP = 0.25
 _SPACING_TOL = 0.25
 _VALLEY_DEPTH_REL = 0.75
-
-
-@dataclass(frozen=True)
-class AxisProjection:
-    """1D luminance projection along one frame axis ('x' sums rows per column)."""
-
-    axis: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.axis not in ("x", "y"):
-            raise GridError(f"axis must be 'x' or 'y', got {self.axis!r}")
-        vals = np.asarray(self.values, dtype=np.float64)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def to_csv(self) -> str:
-        lines = ["coordinate,value"]
-        lines.extend(f"{i + 0.5},{v!r}" for i, v in enumerate(self.values.tolist()))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -86,8 +65,8 @@ class GridMetrics:
     std_cell_height: float
 
 
-def project(frame: MeasurementFrame) -> tuple[AxisProjection, AxisProjection]:
-    """Column sums (x) and row sums (y) of the luminance plane."""
+def project(frame: MeasurementFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums (x) and row sums (y) of the luminance, read-only float64."""
     lum = frame.luminance.astype(np.float64)
     proj_x = lum.sum(axis=0)
     proj_y = lum.sum(axis=1)
@@ -96,7 +75,15 @@ def project(frame: MeasurementFrame) -> tuple[AxisProjection, AxisProjection]:
         err = abs(float(sums.sum()) - float(total))
         if err > 1e-6 * max(float(total), 1.0):
             raise GridError(f"projection does not conserve total luminance (delta {err})")
-    return AxisProjection("x", proj_x), AxisProjection("y", proj_y)
+        sums.setflags(write=False)
+    return proj_x, proj_y
+
+
+def projection_csv(values: np.ndarray) -> str:
+    """projections_{x,y}.csv: each bin's center coordinate and its value."""
+    lines = ["coordinate,value"]
+    lines.extend(f"{i + 0.5},{v!r}" for i, v in enumerate(values.tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def smooth(values: np.ndarray) -> np.ndarray:
@@ -105,12 +92,13 @@ def smooth(values: np.ndarray) -> np.ndarray:
     return (padded[:-2] + 2.0 * padded[1:-1] + padded[2:]) / 4.0
 
 
-def _parabolic_offset(left: float, mid: float, right: float) -> float:
+def _parabolic_offset(left, mid, right) -> np.ndarray:
+    """Vertex offset of the parabola through three unit-spaced samples, clipped
+    to +-0.5, 0 where they are (nearly) collinear; elementwise on arrays."""
     denom = left - 2.0 * mid + right
-    if abs(denom) < 1e-12:
-        return 0.0
-    offset = 0.5 * (left - right) / denom
-    return float(np.clip(offset, -0.5, 0.5))
+    flat = np.abs(denom) < 1e-12
+    offset = 0.5 * (left - right) / np.where(flat, 1.0, denom)
+    return np.where(flat, 0.0, np.clip(offset, -0.5, 0.5))
 
 
 def _refined_peak(ac: np.ndarray, index: int) -> tuple[float, float]:
@@ -118,20 +106,18 @@ def _refined_peak(ac: np.ndarray, index: int) -> tuple[float, float]:
     if index <= 0 or index >= len(ac) - 1:
         return float(index), float(ac[index])
     left, mid, right = float(ac[index - 1]), float(ac[index]), float(ac[index + 1])
-    offset = _parabolic_offset(-left, -mid, -right)
-    denom = left - 2.0 * mid + right
-    value = mid if abs(denom) < 1e-12 else mid - 0.25 * (left - right) * offset
-    return index + offset, value
+    offset = float(_parabolic_offset(left, mid, right))
+    return index + offset, mid - 0.25 * (left - right) * offset
 
 
-def estimate_period(projection: AxisProjection) -> float:
+def estimate_period(projection: np.ndarray) -> float:
     """Dominant pitch of the projection via normalized autocorrelation.
 
     Looks for the lag above 5 px maximizing the autocorrelation of the
     mean-subtracted signal and refines the integer peak parabolically.
     Raises GridError when no peak reaches 0.2 (no periodic structure).
     """
-    v = projection.values - projection.values.mean()
+    v = projection - projection.mean()
     n = len(v)
     max_lag = n // 3
     if max_lag <= _MIN_LAG:
@@ -187,53 +173,61 @@ def _fit_phase(smoothed: np.ndarray, period: float, lo: int, hi: int) -> float:
     return best_phase
 
 
-def _window_minimum(
-    smoothed: np.ndarray, nominal: float, half_width: float, lo: int, hi: int
-) -> float | None:
-    """Plateau-aware local minimum nearest to the nominal position, or None
-    when the window holds no usable minimum (flat run, dark cluster, or the
-    LES border).  Candidates stay inside the projection support [lo, hi] so
-    noise in the dark frame margin cannot attract border edges, and must sit
-    well below the window maximum so noise dimples on a bright plateau do not
-    pass as cell boundaries."""
-    n = len(smoothed)
-    a = max(int(np.ceil(nominal - half_width)), lo + 1, 1)
-    b = min(int(np.floor(nominal + half_width)), hi - 1, n - 2)
-    if b < a:
-        return None
-    depth_cutoff = _VALLEY_DEPTH_REL * float(smoothed[a : b + 1].max())
-    candidates: list[float] = []
-    i = a
-    while i <= b:
-        j = i
-        while j + 1 <= b and smoothed[j + 1] == smoothed[i]:
-            j += 1
-        run_value = smoothed[i]
-        if smoothed[i - 1] > run_value and smoothed[j + 1] > run_value and run_value <= depth_cutoff:
-            if i == j:
-                candidates.append(i + _parabolic_offset(smoothed[i - 1], smoothed[i], smoothed[i + 1]))
-            else:
-                candidates.append((i + j) / 2.0)
-        i = j + 1
-    if not candidates:
-        return None
-    deltas = [abs(c - nominal) for c in candidates]
-    return float(candidates[int(np.argmin(deltas))])
+def _tooth_minima(
+    smoothed: np.ndarray, nominal: np.ndarray, half_width: float, lo: int, hi: int
+) -> np.ndarray:
+    """Per comb tooth, the position of the valley nearest to its nominal
+    position, the lower index on a tie, or NaN when no valley qualifies (flat
+    run, dark cluster, or the LES border).
+
+    The valley table lists every strict local minimum of smoothed once, a run
+    of equal samples counting as one, with its first index, last index and
+    position: the parabola vertex for a one-sample valley, the run's midpoint
+    for a flat-bottomed one.  A valley qualifies for a tooth when it lies
+    wholly inside the window nominal +- half_width and the projection support
+    [lo, hi], so noise in the dark frame margin cannot attract border edges,
+    and when it sits at or below 0.75 times the window maximum, so noise
+    dimples on a bright plateau do not pass as cell boundaries.
+    """
+    starts = np.concatenate(([0], np.flatnonzero(smoothed[1:] != smoothed[:-1]) + 1))
+    ends = np.append(starts[1:] - 1, len(smoothed) - 1)
+    runs = smoothed[starts]
+    valley = np.flatnonzero((runs[1:-1] < runs[:-2]) & (runs[1:-1] < runs[2:])) + 1
+    if valley.size == 0:
+        return np.full(len(nominal), np.nan)
+    first, last = starts[valley], ends[valley]
+    position = (first + last) / 2.0
+    one = first == last
+    single = first[one]
+    position[one] = single + _parabolic_offset(smoothed[single - 1], smoothed[single], smoothed[single + 1])
+
+    a = np.maximum(np.ceil(nominal - half_width).astype(np.int64), max(lo + 1, 1))
+    b = np.minimum(np.floor(nominal + half_width).astype(np.int64), min(hi - 1, len(smoothed) - 2))
+    # An empty window (b < a) holds no valley, whatever its cutoff.
+    window_max = np.array(
+        [smoothed[i : j + 1].max() if i <= j else 0.0 for i, j in zip(a.tolist(), b.tolist())]
+    )
+    cutoff = _VALLEY_DEPTH_REL * window_max
+    usable = (first >= a[:, None]) & (last <= b[:, None]) & (smoothed[first] <= cutoff[:, None])
+    distance = np.where(usable, np.abs(position - nominal[:, None]), np.inf)
+    return np.where(usable.any(axis=1), position[np.argmin(distance, axis=1)], np.nan)
 
 
-def detect_edges(projection: AxisProjection, period: float) -> np.ndarray:
+def detect_edges(projection: np.ndarray, period: float) -> np.ndarray:
     """Edge coordinates, one per pitch window across the projection support.
 
     The phase of the edge comb minimizes the summed projection sampled at
-    {phase + k*period}; each comb tooth is then refined to the nearest local
-    minimum within +-period/4.  Teeth whose window holds no usable minimum
-    (defect clusters, LES border) take their position from a least-squares
-    comb re-fit through the minima that were found, which keeps those edges
-    free of the small bias of the autocorrelation period.
+    {phase + k*period}.  The strict local minima of the smoothed projection
+    are listed once, as a valley table, and each comb tooth is refined to the
+    nearest valley within +-period/4 (see _tooth_minima).  Teeth whose
+    window holds no usable valley (defect clusters, LES border), and measured
+    teeth more than 1 px off the comb, take their position from a
+    least-squares comb re-fit through the measured teeth, which keeps those
+    edges free of the small bias of the autocorrelation period.
     """
     if period <= _MIN_LAG - 1:
         raise GridError(f"period {period} too small")
-    smoothed = smooth(projection.values)
+    smoothed = smooth(projection)
     lo, hi = _support_range(smoothed)
     phase = _fit_phase(smoothed, period, lo, hi)
 
@@ -242,24 +236,18 @@ def detect_edges(projection: AxisProjection, period: float) -> np.ndarray:
     ks = np.arange(k_min, k_max + 1)
     if len(ks) < 3:
         raise GridError(f"only {max(len(ks), 0)} edges in projection support; need >= 3")
-    found: dict[int, float] = {}
-    for i, k in enumerate(ks):
-        minimum = _window_minimum(smoothed, phase + k * period, period / 4.0, lo, hi)
-        if minimum is not None:
-            found[i] = minimum
+    minima = _tooth_minima(smoothed, phase + ks * period, period / 4.0, lo, hi)
+    measured = ~np.isnan(minima)
     fit_b, fit_a = float(period), float(phase)
     for _ in range(2):
-        if len(found) < 2:
+        if np.count_nonzero(measured) < 2:
             break
-        idx = sorted(found)
-        fit_b, fit_a = np.polyfit(ks[idx].astype(np.float64), [found[i] for i in idx], 1)
-        outliers = [i for i in idx if abs(found[i] - (fit_a + fit_b * ks[i])) > 1.0]
-        if not outliers:
+        fit_b, fit_a = np.polyfit(ks[measured].astype(np.float64), minima[measured], 1)
+        outliers = measured & (np.abs(minima - (fit_a + fit_b * ks)) > 1.0)
+        if not outliers.any():
             break
-        for i in outliers:
-            del found[i]
-    edges = [found.get(i, fit_a + fit_b * k) + 0.5 for i, k in enumerate(ks)]
-    out = np.asarray(edges)
+        measured &= ~outliers
+    out = np.where(measured, minima, fit_a + fit_b * ks) + 0.5
     if np.any(np.diff(out) <= 0):
         raise GridError("detected edges are not strictly increasing")
     return out

@@ -114,11 +114,6 @@ def _rectify(frame: io.MeasurementFrame, corners) -> io.MeasurementFrame:
     return geometry.warp_frame(frame, h, out_w, out_h)
 
 
-def _reconstruct(projection: grid.AxisProjection) -> np.ndarray:
-    period = grid.estimate_period(projection)
-    return grid.detect_edges(projection, period)
-
-
 def _overlay_svg(pixel_grid: grid.PixelGrid, cells: features.CellTable, defective: np.ndarray) -> str:
     xs, ys = pixel_grid.x_edges, pixel_grid.y_edges
     width, height = xs[-1] + xs[0], ys[-1] + ys[0]
@@ -218,8 +213,7 @@ def run(config: PipelineConfig) -> ClassificationReport:
     with _stage("project"):
         proj_x, proj_y = grid.project(rectified)
     with _stage("reconstruct_grid"):
-        x_edges = _reconstruct(proj_x)
-        y_edges = _reconstruct(proj_y)
+        x_edges, y_edges = (grid.detect_edges(p, grid.estimate_period(p)) for p in (proj_x, proj_y))
         pixel_grid = grid.build_grid(x_edges, y_edges)
     with _stage("cell_metrics"):
         metrics = grid.cell_size(pixel_grid)
@@ -272,8 +266,8 @@ def run(config: PipelineConfig) -> ClassificationReport:
         cell_text = _cell_text(cells, defective, truth_cells)
         payloads = {
             "report.json": _report_json(report, cell_text),
-            "projections_x.csv": proj_x.to_csv(),
-            "projections_y.csv": proj_y.to_csv(),
+            "projections_x.csv": grid.projection_csv(proj_x),
+            "projections_y.csv": grid.projection_csv(proj_y),
             "features.csv": features.to_csv(cell_text),
             "grid.json": pixel_grid.to_json() + "\n",
             "overlay.svg": _overlay_svg(pixel_grid, cells, defective),

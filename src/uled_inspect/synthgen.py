@@ -84,6 +84,16 @@ class SynthConfig:
             raise ConfigError("lum_mean must be >= 0")
         if self.perspective_strength < 0:
             raise ConfigError("perspective_strength must be >= 0")
+        # w, the bottom row of the distortion, is affine and 1 at the LES
+        # center, so its values at the four LES corners bound it over the LES:
+        # all positive means no point of the LES reaches or crosses the horizon.
+        m = _distortion_matrix(self)
+        corners = [(x, y) for x in (0.0, self.les_width) for y in (0.0, self.les_height)]
+        if min(m[2, 0] * x + m[2, 1] * y + m[2, 2] for x, y in corners) <= 0.0:
+            raise ConfigError(
+                f"perspective_strength {self.perspective_strength} with rotation_deg {self.rotation_deg} "
+                "maps part of the LES to or beyond the horizon"
+            )
         for coord in (self.chroma_mean_x, self.chroma_mean_y):
             if not 0.0 <= coord <= 1.0:
                 raise ConfigError(f"chroma means must lie in [0, 1], got {coord}")
@@ -133,6 +143,11 @@ def defect_mask(config: SynthConfig) -> np.ndarray:
 
 def distortion_homography(config: SynthConfig) -> geometry.Homography:
     """Rotation + perspective about the LES center, before frame placement."""
+    return geometry.Homography(_distortion_matrix(config))
+
+
+def _distortion_matrix(config: SynthConfig) -> np.ndarray:
+    """The matrix of distortion_homography before it is normalized."""
     cx, cy = config.les_width / 2.0, config.les_height / 2.0
     theta = math.radians(config.rotation_deg)
     rot = np.array(
@@ -147,7 +162,7 @@ def distortion_homography(config: SynthConfig) -> geometry.Homography:
     persp[2, 1] = -config.perspective_strength / config.les_height
     to_center = np.array([[1, 0, -cx], [0, 1, -cy], [0, 0, 1]], dtype=np.float64)
     from_center = np.array([[1, 0, cx], [0, 1, cy], [0, 0, 1]], dtype=np.float64)
-    return geometry.Homography(from_center @ persp @ rot @ to_center)
+    return from_center @ persp @ rot @ to_center
 
 
 def _coverage_matrix(n_cells: int, pitch: float, cell: float, gap: float, n_samples: int) -> np.ndarray:

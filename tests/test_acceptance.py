@@ -157,8 +157,8 @@ def test_criterion_7_conservation_and_determinism(pixel_maps, tmp_path):
     frame = io.read_frame(entry["frame_path"])
     px, py = grid.project(frame)
     total = float(frame.luminance.astype(np.float64).sum())
-    assert abs(px.values.sum() - total) <= 1e-6 * total
-    assert abs(py.values.sum() - total) <= 1e-6 * total
+    assert abs(px.sum() - total) <= 1e-6 * total
+    assert abs(py.sum() - total) <= 1e-6 * total
 
     first = (entry["frame_path"].parent / "out1" / "report.json").read_bytes()
     pipeline.run(pipeline.PipelineConfig(

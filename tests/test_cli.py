@@ -104,6 +104,22 @@ def test_generate_non_finite_config_exits_2(tmp_path, capsys, line):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("strength", ["1.0", "1.5"])
+def test_generate_perspective_past_horizon_exits_2(tmp_path, capsys, strength):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"grid_rows = 8\ngrid_cols = 8\nperspective_strength = {strength}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main([
+        "generate", "--config", str(config),
+        "--out-frame", str(out / "f.ulf"), "--out-defects", str(out / "d.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "horizon" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_generate_seed_override_is_deterministic(tmp_path):
     config = tmp_path / "array.cfg"
     config.write_text(CONFIG_TEXT)

@@ -166,6 +166,10 @@ def test_luminance_clamped_after_noise():
         dict(chroma_mean_x=1.5),
         dict(defect_cells=((4, 0),)),
         dict(perspective_strength=-0.1),
+        # w, the homography's bottom row, reaches 0 at one LES corner at 1.0
+        # and crosses it at 1.5.
+        dict(perspective_strength=1.0),
+        dict(perspective_strength=1.5),
     ],
 )
 def test_invalid_config_rejected(bad):
