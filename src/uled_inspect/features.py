@@ -105,19 +105,18 @@ def extract(frame: MeasurementFrame, grid: PixelGrid) -> CellTable:
         k = int(np.argmax(empty))
         raise FeatureExtractionError(f"cell ({rows[k]},{cols[k]}) has no samples after margin")
 
+    luminance, *chroma = frame.planes
     values = np.empty((len(rows), len(COLUMNS)))
-    if not frame.has_chroma:
-        values[:, 4:] = NEUTRAL_CHROMA
+    values[:, 4:] = NEUTRAL_CHROMA  # kept by a luminance-only frame
     for h, w in np.unique(np.stack([heights, widths], axis=1), axis=0).tolist():
         group = np.flatnonzero((heights == h) & (widths == w))
         ys = (j0[group, None] + np.arange(h))[:, :, None]
         xs = (i0[group, None] + np.arange(w))[:, None, :]
-        lum = frame.luminance[ys, xs].astype(np.float64)
+        lum = luminance[ys, xs].astype(np.float64)
         for k, reduce in enumerate((np.mean, np.max, np.min, np.std)):
             values[group, k] = reduce(lum, axis=(1, 2))
-        if frame.has_chroma:
-            values[group, 4] = frame.chroma_x[ys, xs].astype(np.float64).mean(axis=(1, 2))
-            values[group, 5] = frame.chroma_y[ys, xs].astype(np.float64).mean(axis=(1, 2))
+        for k, plane in enumerate(chroma, start=4):
+            values[group, k] = plane[ys, xs].astype(np.float64).mean(axis=(1, 2))
     return CellTable(rows=rows, cols=cols, values=values)
 
 

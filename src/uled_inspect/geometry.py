@@ -206,15 +206,14 @@ def warp_frame(frame: MeasurementFrame, h: Homography, out_width: int, out_heigh
     """Inverse-map the frame through h with bilinear interpolation.
 
     Each output sample center is pulled back through h^-1; sources outside the
-    input frame contribute 0.  Chroma planes, when present, are warped with the
+    input frame contribute 0.  Every plane of frame.planes is warped with the
     same mapping.
     """
     if out_width <= 0 or out_height <= 0:
         raise GeometryError(f"output size must be positive, got {out_width}x{out_height}")
     inv = h.inverse().matrix
     plan = warp_plan(inv, out_width, out_height, frame.luminance.shape)
-    planes = [frame.luminance] + ([frame.chroma_x, frame.chroma_y] if frame.has_chroma else [])
-    lum, *chroma = [warp_plane(plane, inv, out_width, out_height, plan) for plane in planes]
+    lum, *chroma = [warp_plane(plane, inv, out_width, out_height, plan) for plane in frame.planes]
     del plan  # five output-sized arrays; free them before the chroma clip and the frame checks
     return MeasurementFrame(out_width, out_height, lum, *(np.clip(c, 0.0, 1.0) for c in chroma))
 
@@ -247,14 +246,13 @@ _SIDE_TRIM = 0.08
 _SIDE_RESIDUAL_PX = 1.5
 
 
-def _fit_side(points: np.ndarray, trim_axis: int, fallback: tuple[np.ndarray, np.ndarray]):
-    """Total-least-squares side line, end-trimmed and outlier-rejected.
+def _fit_side(points: np.ndarray, trim_axis: int):
+    """Total-least-squares side line through at least 2 points, end-trimmed
+    and outlier-rejected.
 
     The trim drops points near the quad corners (where a row's extreme sample
     can belong to the adjacent side); the rejection passes drop points pushed
     a full pitch inward by dark cells on the array border."""
-    if len(points) < 2:
-        return fallback
     coord = points[:, trim_axis]
     lo, hi = float(coord.min()), float(coord.max())
     margin = _SIDE_TRIM * (hi - lo)
@@ -319,13 +317,12 @@ def detect_corners(frame: MeasurementFrame) -> list[Point]:
     left_pts, right_pts, top_pts, bottom_pts = _boundary_points(mask, rows, cols)
     x_lo, x_hi = float(cols[0]), float(cols[-1]) + 1.0
     y_lo, y_hi = float(rows[0]), float(rows[-1]) + 1.0
-    down = np.array([0.0, 1.0])
-    across = np.array([1.0, 0.0])
+    # Each side has one point per bright row or column, so at least 2.
     sides = {
-        "left": _fit_side(left_pts, 1, (np.array([x_lo, 0.0]), down)),
-        "right": _fit_side(right_pts, 1, (np.array([x_hi, 0.0]), down)),
-        "top": _fit_side(top_pts, 0, (np.array([0.0, y_lo]), across)),
-        "bottom": _fit_side(bottom_pts, 0, (np.array([0.0, y_hi]), across)),
+        "left": _fit_side(left_pts, 1),
+        "right": _fit_side(right_pts, 1),
+        "top": _fit_side(top_pts, 0),
+        "bottom": _fit_side(bottom_pts, 0),
     }
     corners = []
     for first, second, fallback in (

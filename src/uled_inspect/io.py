@@ -6,7 +6,8 @@ ULF1 container layout, little-endian throughout:
     bytes 4..7   u32 width   (camera px)
     bytes 8..11  u32 height  (camera px)
     byte  12     u8 channel count: 1 = luminance, 3 = luminance + CIE x + CIE y
-    payload      planar row-major float32: luminance[, chroma_x, chroma_y]
+    payload      planar row-major float32, one plane per MeasurementFrame.planes
+                 entry in that order: luminance[, chroma_x, chroma_y]
 
 The defect map is a CSV whose first line is ``rows,cols`` followed by one
 ``row,col`` line per defective cell.
@@ -24,6 +25,15 @@ from .errors import FrameFormatError, ValidationError
 
 MAGIC = b"ULF1"
 _HEADER = struct.Struct("<4sIIB")
+
+# Per plane, in container order: its field name, its largest valid sample and
+# the rule a bad sample breaks.  Luminance is bounded by the float32 maximum,
+# so a sample passes exactly when it is finite and >= 0.
+_PLANE_RULES = (
+    ("luminance", float(np.finfo(np.float32).max), "must be finite and >= 0"),
+    ("chroma_x", 1.0, "must lie in [0, 1]"),
+    ("chroma_y", 1.0, "must lie in [0, 1]"),
+)
 
 
 @dataclass(frozen=True)
@@ -43,26 +53,26 @@ class MeasurementFrame:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(f"frame dimensions must be positive, got {self.width}x{self.height}")
-        lum = _as_plane(self.luminance, self.height, self.width, "luminance")
-        object.__setattr__(self, "luminance", lum)
-        bad = ~np.isfinite(lum) | (lum < 0)
-        if bad.any():
-            idx = int(np.argmax(bad))
-            raise ValidationError(
-                f"luminance sample at flat index {idx} is {lum.flat[idx]!r}; must be finite and >= 0"
-            )
-        if (self.chroma_x is None) != (self.chroma_y is None):
-            raise ValidationError("chroma planes must be both present or both absent")
-        if self.chroma_x is not None:
-            for name in ("chroma_x", "chroma_y"):
-                plane = _as_plane(getattr(self, name), self.height, self.width, name)
-                object.__setattr__(self, name, plane)
-                bad = ~np.isfinite(plane) | (plane < 0) | (plane > 1)
-                if bad.any():
-                    idx = int(np.argmax(bad))
-                    raise ValidationError(
-                        f"{name} sample at flat index {idx} is {plane.flat[idx]!r}; must lie in [0, 1]"
-                    )
+        for name, high, rule in _PLANE_RULES:
+            if name == "chroma_x":
+                if (self.chroma_x is None) != (self.chroma_y is None):
+                    raise ValidationError("chroma planes must be both present or both absent")
+                if self.chroma_x is None:
+                    break
+            plane = _as_plane(getattr(self, name), self.height, self.width, name)
+            object.__setattr__(self, name, plane)
+            # NaN fails both comparisons; +-inf fails one.
+            bad = ~((plane >= 0) & (plane <= high))
+            if bad.any():
+                idx = int(np.argmax(bad))
+                raise ValidationError(f"{name} sample at flat index {idx} is {plane.flat[idx]!r}; {rule}")
+
+    @property
+    def planes(self) -> tuple[np.ndarray, ...]:
+        """The frame's planes in container order: luminance, then CIE x and y when present."""
+        if self.chroma_x is None:
+            return (self.luminance,)
+        return (self.luminance, self.chroma_x, self.chroma_y)
 
     @property
     def has_chroma(self) -> bool:
@@ -71,15 +81,9 @@ class MeasurementFrame:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasurementFrame):
             return NotImplemented
-        if (self.width, self.height, self.has_chroma) != (other.width, other.height, other.has_chroma):
+        if (self.width, self.height, len(self.planes)) != (other.width, other.height, len(other.planes)):
             return False
-        if not np.array_equal(self.luminance, other.luminance):
-            return False
-        if self.has_chroma:
-            return np.array_equal(self.chroma_x, other.chroma_x) and np.array_equal(
-                self.chroma_y, other.chroma_y
-            )
-        return True
+        return all(np.array_equal(a, b) for a, b in zip(self.planes, other.planes))
 
 
 def _as_plane(values, height: int, width: int, name: str) -> np.ndarray:
@@ -141,13 +145,8 @@ class DefectMap:
 
 
 def write_frame(frame: MeasurementFrame, path) -> None:
-    channels = 3 if frame.has_chroma else 1
-    blob = bytearray(_HEADER.pack(MAGIC, frame.width, frame.height, channels))
-    blob += frame.luminance.astype("<f4").tobytes()
-    if frame.has_chroma:
-        blob += frame.chroma_x.astype("<f4").tobytes()
-        blob += frame.chroma_y.astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    header = _HEADER.pack(MAGIC, frame.width, frame.height, len(frame.planes))
+    Path(path).write_bytes(b"".join([header, *(plane.astype("<f4").tobytes() for plane in frame.planes)]))
 
 
 def read_frame(path) -> MeasurementFrame:
@@ -167,14 +166,8 @@ def read_frame(path) -> MeasurementFrame:
             f"{path}: payload is {len(data) - _HEADER.size} bytes, "
             f"expected {expected - _HEADER.size} for {width}x{height}x{channels}"
         )
-    plane_len = width * height
-    planes = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
-    lum = planes[:plane_len]
-    if channels == 3:
-        cx = planes[plane_len : 2 * plane_len]
-        cy = planes[2 * plane_len :]
-        return MeasurementFrame(width, height, lum, cx, cy)
-    return MeasurementFrame(width, height, lum)
+    payload = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
+    return MeasurementFrame(width, height, *payload.reshape(channels, -1))
 
 
 def write_defect_map(defects: DefectMap, path) -> None:

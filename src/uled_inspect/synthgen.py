@@ -16,8 +16,9 @@ rng.mix(seed, k) with
     k=1 per-cell CIE-x normals           k=4 per-sample noise normals
     k=2 per-cell CIE-y normals
 
-Per-cell brightness is one Gaussian draw (clamped >= 0) held constant across
-the cell interior; the true brightness distribution of functional uLEDs is
+Streams k=0..2 each give one Gaussian draw per cell (_cell_draws), held
+constant across the cell interior: brightness clamped >= 0, chromaticity
+clipped to [0, 1].  The true brightness distribution of functional uLEDs is
 unknown, so the Gaussian model is an explicit assumption of this generator.
 Defective cells emit defect_residual times their drawn brightness.
 """
@@ -41,6 +42,11 @@ _STREAM_CHROMA_X = 1
 _STREAM_CHROMA_Y = 2
 _STREAM_DEFECTS = 3
 _STREAM_NOISE = 4
+
+# The smallest w (the distortion's bottom row, 1 at the LES center) allowed at
+# an LES corner.  Scale goes like 1/w, so no part of the LES is drawn at more
+# than twice its center scale, and the frame stays within a few LES sizes.
+_MIN_CORNER_W = 0.5
 
 
 @dataclass(frozen=True)
@@ -84,15 +90,15 @@ class SynthConfig:
             raise ConfigError("lum_mean must be >= 0")
         if self.perspective_strength < 0:
             raise ConfigError("perspective_strength must be >= 0")
-        # w, the bottom row of the distortion, is affine and 1 at the LES
-        # center, so its values at the four LES corners bound it over the LES:
-        # all positive means no point of the LES reaches or crosses the horizon.
+        # w is affine and 1 at the LES center, so its values at the four LES
+        # corners bound it over the LES.
         m = _distortion_matrix(self)
         corners = [(x, y) for x in (0.0, self.les_width) for y in (0.0, self.les_height)]
-        if min(m[2, 0] * x + m[2, 1] * y + m[2, 2] for x, y in corners) <= 0.0:
+        corner_w = min(m[2, 0] * x + m[2, 1] * y + m[2, 2] for x, y in corners)
+        if corner_w < _MIN_CORNER_W:
             raise ConfigError(
                 f"perspective_strength {self.perspective_strength} with rotation_deg {self.rotation_deg} "
-                "maps part of the LES to or beyond the horizon"
+                f"brings an LES corner too near the horizon (w = {corner_w:.3g} < {_MIN_CORNER_W})"
             )
         for coord in (self.chroma_mean_x, self.chroma_mean_y):
             if not 0.0 <= coord <= 1.0:
@@ -117,12 +123,15 @@ class SynthConfig:
         return self.grid_rows * self.pitch
 
 
+def _cell_draws(config: SynthConfig, stream: int, mean: float, sigma: float) -> np.ndarray:
+    """mean + sigma * z (rows x cols) for one normal z per cell from substream `stream`."""
+    z = SplitMix64(mix(config.seed, stream)).normal_batch(config.grid_rows * config.grid_cols)
+    return (mean + sigma * z).reshape(config.grid_rows, config.grid_cols)
+
+
 def drawn_brightness(config: SynthConfig) -> np.ndarray:
     """The per-cell brightness draws (rows x cols), before any defect scaling."""
-    stream = SplitMix64(mix(config.seed, _STREAM_BRIGHTNESS))
-    z = stream.normal_batch(config.grid_rows * config.grid_cols)
-    values = config.lum_mean + config.lum_sigma * z
-    return np.maximum(values, 0.0).reshape(config.grid_rows, config.grid_cols)
+    return np.maximum(_cell_draws(config, _STREAM_BRIGHTNESS, config.lum_mean, config.lum_sigma), 0.0)
 
 
 def defect_mask(config: SynthConfig) -> np.ndarray:
@@ -168,23 +177,10 @@ def _distortion_matrix(config: SynthConfig) -> np.ndarray:
 def _coverage_matrix(n_cells: int, pitch: float, cell: float, gap: float, n_samples: int) -> np.ndarray:
     """(n_cells, n_samples) share of each sample [i, i+1) of one axis that lies
     inside each cell's bright interior, by the layout rule above."""
-    cov = np.zeros((n_cells, n_samples))
-    half_gap = gap / 2.0
-    for c in range(n_cells):
-        a = half_gap + c * pitch
-        b = a + cell
-        i0 = max(int(math.floor(a)), 0)
-        i1 = min(int(math.ceil(b)), n_samples)
-        idx = np.arange(i0, i1)
-        cov[c, i0:i1] = np.clip(np.minimum(b, idx + 1) - np.maximum(a, idx), 0.0, 1.0)
-    return cov
-
-
-def _per_cell_chroma(config: SynthConfig, stream_id: int, mean: float) -> np.ndarray:
-    stream = SplitMix64(mix(config.seed, stream_id))
-    z = stream.normal_batch(config.grid_rows * config.grid_cols)
-    values = mean + config.chroma_sigma * z
-    return np.clip(values, 0.0, 1.0).reshape(config.grid_rows, config.grid_cols)
+    a = gap / 2.0 + np.arange(n_cells)[:, None] * pitch
+    idx = np.arange(n_samples)
+    # A sample outside the cell gets an overlap <= 0, which the clip makes 0.
+    return np.clip(np.minimum(a + cell, idx + 1) - np.maximum(a, idx), 0.0, 1.0)
 
 
 def generate(config: SynthConfig) -> tuple[MeasurementFrame, DefectMap, list[tuple[float, float]]]:
@@ -209,11 +205,14 @@ def generate(config: SynthConfig) -> tuple[MeasurementFrame, DefectMap, list[tup
     cov_y = _coverage_matrix(config.grid_rows, config.pitch, config.cell_size_px, config.gap_px, height0)
     ideal_lum = cov_y.T @ effective @ cov_x
 
-    chroma_cells_x = _per_cell_chroma(config, _STREAM_CHROMA_X, config.chroma_mean_x)
-    chroma_cells_y = _per_cell_chroma(config, _STREAM_CHROMA_Y, config.chroma_mean_y)
+    # Each chroma plane blends its cells' draws with the mean outside them.
+    chroma_streams = ((_STREAM_CHROMA_X, config.chroma_mean_x), (_STREAM_CHROMA_Y, config.chroma_mean_y))
     coverage = np.outer(cov_y.sum(axis=0), cov_x.sum(axis=0))
-    ideal_cx = cov_y.T @ chroma_cells_x @ cov_x + (1.0 - coverage) * config.chroma_mean_x
-    ideal_cy = cov_y.T @ chroma_cells_y @ cov_x + (1.0 - coverage) * config.chroma_mean_y
+    ideal = [ideal_lum] + [
+        cov_y.T @ np.clip(_cell_draws(config, stream, mean, config.chroma_sigma), 0.0, 1.0) @ cov_x
+        + (1.0 - coverage) * mean
+        for stream, mean in chroma_streams
+    ]
 
     distort = distortion_homography(config)
     les_corners = np.array(
@@ -236,28 +235,22 @@ def generate(config: SynthConfig) -> tuple[MeasurementFrame, DefectMap, list[tup
 
     inv = h_final.inverse().matrix
     plan = geometry.warp_plan(inv, out_width, out_height, ideal_lum.shape)
-    lum = geometry.warp_plane(ideal_lum, inv, out_width, out_height, plan)
-    chroma_x = geometry.warp_plane(ideal_cx, inv, out_width, out_height, plan)
-    chroma_y = geometry.warp_plane(ideal_cy, inv, out_width, out_height, plan)
+    lum, *chroma = [geometry.warp_plane(plane, inv, out_width, out_height, plan) for plane in ideal]
     # Outside the warped ideal raster the chroma blend must stay at the mean,
     # not the warp's zero fill.
     support = geometry.warp_plane(np.ones_like(ideal_lum), inv, out_width, out_height, plan)
     del plan  # five output-sized arrays; free them before the noise draw
-    chroma_x = chroma_x + (1.0 - support) * config.chroma_mean_x
-    chroma_y = chroma_y + (1.0 - support) * config.chroma_mean_y
+    chroma = [
+        np.clip(plane + (1.0 - support) * mean, 0.0, 1.0).astype(np.float32)
+        for plane, (_, mean) in zip(chroma, chroma_streams)
+    ]
 
     if config.noise_sigma > 0.0:
         noise = SplitMix64(mix(config.seed, _STREAM_NOISE)).normal_batch(out_width * out_height)
         lum = lum + config.noise_sigma * noise.reshape(out_height, out_width)
     lum = np.maximum(lum, 0.0)
 
-    frame = MeasurementFrame(
-        out_width,
-        out_height,
-        lum.astype(np.float32),
-        np.clip(chroma_x, 0.0, 1.0).astype(np.float32),
-        np.clip(chroma_y, 0.0, 1.0).astype(np.float32),
-    )
+    frame = MeasurementFrame(out_width, out_height, lum.astype(np.float32), *chroma)
     defects = DefectMap(config.grid_rows, config.grid_cols, mask)
     corner_points = [(float(x), float(y)) for x, y in corners]
     return frame, defects, corner_points

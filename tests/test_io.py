@@ -121,6 +121,49 @@ def test_chroma_planes_all_or_nothing():
         io.MeasurementFrame(1, 1, lum, np.array([[0.5]]), None)
 
 
+BAD_SAMPLES = [("luminance", v) for v in (-1.0, float("nan"), float("inf"))] + [
+    (name, v) for name in ("chroma_x", "chroma_y") for v in (-0.1, 1.5, float("nan"), float("inf"))
+]
+RULES = {"luminance": "must be finite and >= 0", "chroma_x": "must lie in [0, 1]", "chroma_y": "must lie in [0, 1]"}
+
+
+def valid_planes():
+    return {
+        "luminance": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "chroma_x": np.full((2, 3), 0.31, dtype=np.float32),
+        "chroma_y": np.full((2, 3), 0.32, dtype=np.float32),
+    }
+
+
+@pytest.mark.parametrize("name, value", BAD_SAMPLES)
+def test_bad_plane_sample_message(name, value):
+    planes = valid_planes()
+    planes[name][1, 1] = value
+    with pytest.raises(ValidationError) as exc:
+        io.MeasurementFrame(3, 2, **planes)
+    assert str(exc.value) == f"{name} sample at flat index 4 is {np.float32(value)!r}; {RULES[name]}"
+
+
+@pytest.mark.parametrize("present", ["chroma_x", "chroma_y"])
+def test_bad_luminance_reported_before_unpaired_chroma(present):
+    planes = valid_planes()
+    planes["luminance"][0, 2] = -1.0
+    with pytest.raises(ValidationError) as exc:
+        io.MeasurementFrame(3, 2, planes["luminance"], **{present: planes[present]})
+    assert str(exc.value) == f"luminance sample at flat index 2 is {np.float32(-1.0)!r}; {RULES['luminance']}"
+
+
+def test_planes_in_container_order(tmp_path):
+    planes = valid_planes()
+    frame = io.MeasurementFrame(3, 2, **planes)
+    assert [p.tobytes() for p in frame.planes] == [planes[n].tobytes() for n in ("luminance", "chroma_x", "chroma_y")]
+    (lum,) = make_frame(planes["luminance"]).planes
+    assert lum.tobytes() == planes["luminance"].tobytes()
+    path = tmp_path / "f.ulf"
+    io.write_frame(frame, path)
+    assert path.read_bytes()[13:] == b"".join(p.astype("<f4").tobytes() for p in frame.planes)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     width=st.integers(1, 6),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,34 @@ def test_ideal_cell_rectangles_pairwise_disjoint():
         assert cov.sum(axis=0).max() <= 1.0 + 1e-12
 
 
+def reference_coverage_matrix(n_cells, pitch, cell, gap, n_samples):
+    """The per-cell loop _coverage_matrix replaces: each cell fills only its
+    own window of samples, cut to the samples 0..n_samples-1."""
+    cov = np.zeros((n_cells, n_samples))
+    half_gap = gap / 2.0
+    for c in range(n_cells):
+        a = half_gap + c * pitch
+        b = a + cell
+        i0 = max(int(math.floor(a)), 0)
+        i1 = min(int(math.ceil(b)), n_samples)
+        idx = np.arange(i0, i1)
+        cov[c, i0:i1] = np.clip(np.minimum(b, idx + 1) - np.maximum(a, idx), 0.0, 1.0)
+    return cov
+
+
+@pytest.mark.parametrize("cell, gap", [(20.0, 3.0), (7.0, 2.5), (7.3, 1.9), (5.0, 0.0)])
+def test_coverage_matrix_matches_per_cell_loop(cell, gap):
+    n_cells = 7
+    les = n_cells * (cell + gap)
+    # The generator's own size, then samples ending inside the next-to-last
+    # cell (its window cut, the last cell's empty), then samples past the LES.
+    for n_samples in (math.ceil(les - 1e-9), int(les - 1.5 * (cell + gap)), math.ceil(les) + 9):
+        got = synthgen._coverage_matrix(n_cells, cell + gap, cell, gap, n_samples)
+        want = reference_coverage_matrix(n_cells, cell + gap, cell, gap, n_samples)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_projection_periodicity_invariant():
     # zero distortion and noise: projections repeat exactly at the pitch
     config = small_config(lum_sigma=0.0)
@@ -166,8 +196,11 @@ def test_luminance_clamped_after_noise():
         dict(chroma_mean_x=1.5),
         dict(defect_cells=((4, 0),)),
         dict(perspective_strength=-0.1),
-        # w, the homography's bottom row, reaches 0 at one LES corner at 1.0
-        # and crosses it at 1.5.
+        # w, the homography's bottom row, is 1 - strength at one LES corner
+        # without rotation: below the 0.5 floor at 0.6 and 0.99, 0 at 1.0 and
+        # past the horizon at 1.5.
+        dict(perspective_strength=0.6),
+        dict(perspective_strength=0.99),
         dict(perspective_strength=1.0),
         dict(perspective_strength=1.5),
     ],
