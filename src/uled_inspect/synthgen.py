@@ -203,16 +203,6 @@ def generate(config: SynthConfig) -> tuple[MeasurementFrame, DefectMap, list[tup
     height0 = int(math.ceil(config.les_height - 1e-9))
     cov_x = _coverage_matrix(config.grid_cols, config.pitch, config.cell_size_px, config.gap_px, width0)
     cov_y = _coverage_matrix(config.grid_rows, config.pitch, config.cell_size_px, config.gap_px, height0)
-    ideal_lum = cov_y.T @ effective @ cov_x
-
-    # Each chroma plane blends its cells' draws with the mean outside them.
-    chroma_streams = ((_STREAM_CHROMA_X, config.chroma_mean_x), (_STREAM_CHROMA_Y, config.chroma_mean_y))
-    coverage = np.outer(cov_y.sum(axis=0), cov_x.sum(axis=0))
-    ideal = [ideal_lum] + [
-        cov_y.T @ np.clip(_cell_draws(config, stream, mean, config.chroma_sigma), 0.0, 1.0) @ cov_x
-        + (1.0 - coverage) * mean
-        for stream, mean in chroma_streams
-    ]
 
     distort = distortion_homography(config)
     les_corners = np.array(
@@ -233,17 +223,28 @@ def generate(config: SynthConfig) -> tuple[MeasurementFrame, DefectMap, list[tup
     out_width = int(math.ceil(extent[0])) + 2 * LES_MARGIN_PX
     out_height = int(math.ceil(extent[1])) + 2 * LES_MARGIN_PX
 
+    # Each ideal plane is built just before its warp and dropped after it, and
+    # each chroma plane is float32 before the next is built, so at most one
+    # ideal and two output-sized float64 planes are alive besides the plan.
     inv = h_final.inverse().matrix
-    plan = geometry.warp_plan(inv, out_width, out_height, ideal_lum.shape)
-    lum, *chroma = [geometry.warp_plane(plane, inv, out_width, out_height, plan) for plane in ideal]
+    plan = geometry.warp_plan(inv, out_width, out_height, (height0, width0))
     # Outside the warped ideal raster the chroma blend must stay at the mean,
     # not the warp's zero fill.
-    support = geometry.warp_plane(np.ones_like(ideal_lum), inv, out_width, out_height, plan)
-    del plan  # five output-sized arrays; free them before the noise draw
-    chroma = [
-        np.clip(plane + (1.0 - support) * mean, 0.0, 1.0).astype(np.float32)
-        for plane, (_, mean) in zip(chroma, chroma_streams)
-    ]
+    support = geometry.warp_plane(np.ones((height0, width0)), inv, out_width, out_height, plan)
+    chroma = []
+    for stream, mean in ((_STREAM_CHROMA_X, config.chroma_mean_x), (_STREAM_CHROMA_Y, config.chroma_mean_y)):
+        # The cells' draws, blended with the mean outside them; the LES-sized
+        # coverage is rebuilt per plane rather than held.
+        ideal = cov_y.T @ np.clip(_cell_draws(config, stream, mean, config.chroma_sigma), 0.0, 1.0) @ cov_x
+        ideal += (1.0 - np.outer(cov_y.sum(axis=0), cov_x.sum(axis=0))) * mean
+        plane = geometry.warp_plane(ideal, inv, out_width, out_height, plan)
+        del ideal
+        plane += (1.0 - support) * mean
+        chroma.append(np.clip(plane, 0.0, 1.0, out=plane).astype(np.float32))
+        del plane
+    del support
+    lum = geometry.warp_plane(cov_y.T @ effective @ cov_x, inv, out_width, out_height, plan)
+    del plan  # free the plan before the noise draw
 
     if config.noise_sigma > 0.0:
         noise = SplitMix64(mix(config.seed, _STREAM_NOISE)).normal_batch(out_width * out_height)

@@ -268,7 +268,20 @@ def _rotation_perspective_inverse():
     return Homography(m).inverse().matrix
 
 
-@pytest.mark.parametrize("case", ["identity", "rotation_perspective", "ones", "horizon", "past_the_pad"])
+# Output heights that end in a short band of warp_plan and warp_plane: one
+# row, one row past the first band, and a height that is no multiple of the
+# band height.
+RAGGED_HEIGHTS = {
+    "one_row": 1,
+    "band_plus_one": geometry._BAND_ROWS + 1,
+    "ragged": 3 * geometry._BAND_ROWS - 5,
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["identity", "rotation_perspective", "ones", "horizon", "past_the_pad", *RAGGED_HEIGHTS, "horizon_ragged"],
+)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype):
     rng = np.random.default_rng(21)
@@ -288,6 +301,13 @@ def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype):
         inv = np.array([[1.0, 0.0, -25.0], [0.0, 1.0, -25.0], [0.0, 0.0, 1.0]])
     elif case == "ones":
         plane = np.ones(shape, dtype=dtype)
+    elif case in RAGGED_HEIGHTS:
+        out_height = RAGGED_HEIGHTS[case]
+    elif case == "horizon_ragged":
+        # The horizon column of "horizon" runs through every row of a band
+        # and on into a one-row last band.
+        inv = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1 / 32.5, 0.0, 1.0]])
+        out_height = geometry._BAND_ROWS + 1
     expected = masked_warp_oracle(plane, inv, out_width, out_height)
     plan = geometry.warp_plan(inv, out_width, out_height, shape)
     if case != "identity":
