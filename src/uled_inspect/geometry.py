@@ -103,24 +103,20 @@ def estimate_homography(src: Sequence[Point], dst: Sequence[Point]) -> Homograph
 
 
 def apply_homography(h: Homography, point: Point) -> Point:
-    x, y = point
-    m = h.matrix
-    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    if abs(w) < _DET_EPS:
-        raise GeometryError(f"point {point} maps to the horizon (w ~ 0)")
-    return (
-        (m[0, 0] * x + m[0, 1] * y + m[0, 2]) / w,
-        (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / w,
-    )
+    """apply_homography_array for one point, as Python floats."""
+    return tuple(apply_homography_array(h, np.array([point], dtype=np.float64))[0].tolist())
 
 
 def apply_homography_array(h: Homography, points: np.ndarray) -> np.ndarray:
-    """Vectorized apply_homography for an (n, 2) array."""
+    """Map an (n, 2) array of points; raises GeometryError naming the first
+    point that maps to the horizon."""
     pts = np.asarray(points, dtype=np.float64)
     m = h.matrix
     w = m[2, 0] * pts[:, 0] + m[2, 1] * pts[:, 1] + m[2, 2]
-    if np.any(np.abs(w) < _DET_EPS):
-        raise GeometryError("a point maps to the horizon (w ~ 0)")
+    horizon = np.abs(w) < _DET_EPS
+    if horizon.any():
+        point = tuple(pts[np.argmax(horizon)].tolist())
+        raise GeometryError(f"point {point} maps to the horizon (w ~ 0)")
     u = (m[0, 0] * pts[:, 0] + m[0, 1] * pts[:, 1] + m[0, 2]) / w
     v = (m[1, 0] * pts[:, 0] + m[1, 1] * pts[:, 1] + m[1, 2]) / w
     return np.stack([u, v], axis=1)

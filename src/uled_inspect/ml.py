@@ -7,9 +7,12 @@ numpy's symmetric eigen-decomposition (np.linalg.eigh) of the 6x6 population
 covariance, and the classifier is Lloyd's algorithm with k-means++ seeding and
 multiple restarts.
 
-Restart r of a fit draws from a SplitMix64 stream seeded with
-rng.mix(seed, r), so restarts are independent of execution order and a
-thread-parallel fit returns bit-identical results to the sequential one.
+Restart r of a fit draws its k k-means++ uniforms as one batch from the
+SplitMix64 stream seeded with rng.mix(seed, r); the n_init restart seeds are
+themselves one batch, outputs 0..n_init-1 of stream(seed); the tests replay
+both from the scalar reference stream in tests/test_rng.py.  Restarts are
+thus independent of execution order, and a thread-parallel fit returns
+bit-identical results to the sequential one.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MlError
-from .rng import SplitMix64, mix
+from .rng import SplitMix64
 
 # Lloyd stops after _MAX_ITER iterations or once the centroids move less than
 # _TOL in summed squared distance.
@@ -124,15 +127,16 @@ def _assign(columns: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
     return labels, point_d2
 
 
-def _kmeans_plusplus(columns: np.ndarray, k: int, stream: SplitMix64) -> np.ndarray:
+def _kmeans_plusplus(columns: np.ndarray, k: int, uniforms: list[float]) -> np.ndarray:
+    """k-means++ centres, the i-th chosen by the i-th of the k uniforms."""
     n = columns.shape[1]
     centers = np.empty((k, columns.shape[0]))
-    first = min(int(stream.next_uniform() * n), n - 1)
+    first = min(int(uniforms[0] * n), n - 1)
     centers[0] = columns[:, first]
     d2 = _squared_distances(columns, centers[0])
     for i in range(1, k):
         total = float(d2.sum())
-        u = stream.next_uniform()
+        u = uniforms[i]
         if total <= 0.0:
             idx = min(int(u * n), n - 1)
         else:
@@ -163,8 +167,7 @@ def _lloyd(columns: np.ndarray, k: int, restart_seed: int):
     - every distance is a number, never NaN, because kmeans_fit rejects
       non-finite input; with NaN, < and argmin would disagree.
     """
-    stream = SplitMix64(restart_seed)
-    centroids = _kmeans_plusplus(columns, k, stream)
+    centroids = _kmeans_plusplus(columns, k, SplitMix64(restart_seed).uniform_batch(k).tolist())
     previous_inertia = np.inf
     for _ in range(_MAX_ITER):
         labels, point_d2 = _assign(columns, centroids)
@@ -207,7 +210,7 @@ def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: in
     if Y.shape[0] < config.k:
         raise MlError(f"k-means needs at least k={config.k} points, got {Y.shape[0]}")
 
-    seeds = [mix(config.seed, r) for r in range(config.n_init)]
+    seeds = SplitMix64(config.seed).raw_batch(config.n_init).tolist()
     columns = np.ascontiguousarray(Y.T)
 
     def run(restart_seed: int):

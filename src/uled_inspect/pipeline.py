@@ -210,6 +210,7 @@ def run(config: PipelineConfig) -> ClassificationReport:
             corners = geometry.detect_corners(frame)
     with _stage("rectify"):
         rectified = _rectify(frame, corners)
+    del frame  # only the rectified frame is needed from here on
     with _stage("project"):
         proj_x, proj_y = grid.project(rectified)
     with _stage("reconstruct_grid"):

@@ -17,13 +17,15 @@ Derived values:
               r = sqrt(-2 ln(1 - u_2m)), angle = 2 pi u_2m+1
     mix(a, b) = finalize(a + (b + 1) * GOLDEN)             substream seeding
 
-Because outputs are a pure function of (seed, index), batches may be computed
-in any order or in parallel and still equal the sequential stream.
+Outputs are a pure function of (seed, index), so a stream is computed only
+in batches of its first outputs, vectorized.  mix(a, b) is output 0 of the
+stream seeded a + b * GOLDEN, which is also output b of stream(a), so the
+k-Means restart seeds mix(seed, r), r < n_init, are one batch.  The scalar
+form of the definition is kept in tests/test_rng.py as the reference the
+batches are checked against.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -34,47 +36,21 @@ _MUL2 = 0x94D049BB133111EB
 _U53 = 2.0**-53
 
 
-def finalize(z: int) -> int:
-    """SplitMix64 finalizer on a 64-bit integer."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MUL1) & _MASK
-    z = ((z ^ (z >> 27)) * _MUL2) & _MASK
-    return z ^ (z >> 31)
-
-
 def mix(seed: int, stream_id: int) -> int:
     """Derive an independent substream seed from (seed, stream_id)."""
-    return finalize((seed + (stream_id + 1) * GOLDEN) & _MASK)
+    return int(SplitMix64(seed + stream_id * GOLDEN).raw_batch(1)[0])
 
 
 class SplitMix64:
-    """Sequential view of the stream; ``nth`` and batch calls are positional."""
+    """The stream of one seed (taken mod 2**64); each call returns its first
+    `count` values."""
 
     def __init__(self, seed: int):
         self._seed = seed & _MASK
-        self._index = 0
-
-    def next_raw(self) -> int:
-        value = finalize((self._seed + (self._index + 1) * GOLDEN) & _MASK)
-        self._index += 1
-        return value
-
-    def next_uniform(self) -> float:
-        return (self.next_raw() >> 11) * _U53
-
-    def next_normal_pair(self) -> tuple[float, float]:
-        u1 = self.next_uniform()
-        u2 = self.next_uniform()
-        r = math.sqrt(-2.0 * math.log(1.0 - u1))
-        angle = 2.0 * math.pi * u2
-        return r * math.cos(angle), r * math.sin(angle)
-
-    # Batch forms: identical values to repeated sequential calls, computed
-    # vectorized.  They advance the stream position.
 
     def raw_batch(self, count: int) -> np.ndarray:
-        idx = np.arange(self._index + 1, self._index + count + 1, dtype=np.uint64)
-        self._index += count
+        """Outputs 0..count-1 as uint64."""
+        idx = np.arange(1, count + 1, dtype=np.uint64)
         z = (np.uint64(self._seed) + idx * np.uint64(GOLDEN))
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)

@@ -150,13 +150,9 @@ def defect_mask(config: SynthConfig) -> np.ndarray:
     return mask.reshape(config.grid_rows, config.grid_cols)
 
 
-def distortion_homography(config: SynthConfig) -> geometry.Homography:
-    """Rotation + perspective about the LES center, before frame placement."""
-    return geometry.Homography(_distortion_matrix(config))
-
-
 def _distortion_matrix(config: SynthConfig) -> np.ndarray:
-    """The matrix of distortion_homography before it is normalized."""
+    """Rotation + perspective about the LES center, before frame placement
+    (not normalized)."""
     cx, cy = config.les_width / 2.0, config.les_height / 2.0
     theta = math.radians(config.rotation_deg)
     rot = np.array(
@@ -204,7 +200,7 @@ def generate(config: SynthConfig) -> tuple[MeasurementFrame, DefectMap, list[tup
     cov_x = _coverage_matrix(config.grid_cols, config.pitch, config.cell_size_px, config.gap_px, width0)
     cov_y = _coverage_matrix(config.grid_rows, config.pitch, config.cell_size_px, config.gap_px, height0)
 
-    distort = distortion_homography(config)
+    distort = geometry.Homography(_distortion_matrix(config))
     les_corners = np.array(
         [
             [0.0, 0.0],

@@ -8,6 +8,7 @@ from uled_inspect.errors import GeometryError
 from uled_inspect.geometry import (
     Homography,
     apply_homography,
+    apply_homography_array,
     detect_corners,
     estimate_homography,
     warp_frame,
@@ -140,8 +141,10 @@ def test_apply_rotation_90():
 
 def test_apply_horizon_error():
     h = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]))
-    with pytest.raises(GeometryError, match="horizon"):
+    with pytest.raises(GeometryError, match=r"point \(1\.0, 0\.0\) maps to the horizon"):
         apply_homography(h, (1.0, 0.0))
+    with pytest.raises(GeometryError, match=r"point \(1\.0, 2\.0\) maps to the horizon"):
+        apply_homography_array(h, np.array([[0.0, 0.0], [1.0, 2.0], [1.0, 3.0]]))
 
 
 def test_round_trip_1000_points():

@@ -13,7 +13,7 @@ from uled_inspect.ml import (
     pca_transform,
     standardize_fit_transform,
 )
-from uled_inspect.rng import SplitMix64, mix
+from test_rng import reference_raw, reference_uniforms
 
 
 def exhaustive_two_partition_minimum(Y):
@@ -35,15 +35,16 @@ def exhaustive_two_partition_minimum(Y):
     return best, best_mask
 
 
-def reference_kmeans_plusplus(Y, k, stream):
+def reference_kmeans_plusplus(Y, k, restart_seed):
+    uniforms = reference_uniforms(restart_seed, k)
     n = Y.shape[0]
     centers = np.empty((k, Y.shape[1]))
-    first = min(int(stream.next_uniform() * n), n - 1)
+    first = min(int(uniforms[0] * n), n - 1)
     centers[0] = Y[first]
     d2 = np.sum((Y - centers[0]) ** 2, axis=1)
     for i in range(1, k):
         total = float(d2.sum())
-        u = stream.next_uniform()
+        u = uniforms[i]
         if total <= 0.0:
             idx = min(int(u * n), n - 1)
         else:
@@ -58,8 +59,7 @@ def reference_lloyd(Y, k, restart_seed, max_iter, tol):
     """The row-wise restart ml._lloyd replaced: the full n x k distance
     matrix, argmin, and one boolean-mask mean per cluster.  Returns
     (centroids, labels, inertia, whether a cluster ever came out empty)."""
-    stream = SplitMix64(restart_seed)
-    centroids = reference_kmeans_plusplus(Y, k, stream)
+    centroids = reference_kmeans_plusplus(Y, k, restart_seed)
     emptied = False
     for _ in range(max_iter):
         d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
@@ -301,8 +301,7 @@ def test_lloyd_matches_row_wise_reference_bit_for_bit(case):
     Y, k, restarts, must_empty = lloyd_oracle_cases()[case]
     columns = np.ascontiguousarray(Y.T)
     emptied = False
-    for r in range(restarts):
-        seed = mix(8, r)
+    for r, seed in enumerate(reference_raw(8, restarts)):
         centroids, labels, inertia = ml._lloyd(columns, k, seed)
         ref_centroids, ref_labels, ref_inertia, ref_emptied = reference_lloyd(Y, k, seed, 300, 1e-8)
         assert centroids.tobytes() == ref_centroids.tobytes(), r

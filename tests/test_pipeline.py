@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,32 @@ def per_cell_entries(cells, defective, truth_cells):
             entry["truth"] = status[bool(truth_cells[k])]
         entries.append(entry)
     return entries
+
+
+def test_run_releases_camera_frame_after_rectify(tmp_path, monkeypatch):
+    # Past rectify only the rectified frame is needed; the camera frame must
+    # not stay alive through the feature and classify stages.
+    _, frame_path, defects_path, _ = small_map(tmp_path)
+    read_frame, extract = io.read_frame, features.extract
+    camera = []
+    alive_in_extract = []
+
+    def tracked_read_frame(path):
+        frame = read_frame(path)
+        camera.append(weakref.ref(frame))
+        return frame
+
+    def tracked_extract(*args, **kwargs):
+        alive_in_extract.append(camera[0]() is not None)
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(io, "read_frame", tracked_read_frame)
+    monkeypatch.setattr(features, "extract", tracked_extract)
+    run(PipelineConfig(
+        frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
+        defects_path=str(defects_path), kmeans=fast_kmeans(),
+    ))
+    assert alive_in_extract == [False]
 
 
 def test_run_emits_all_artifacts(tmp_path):
