@@ -138,10 +138,11 @@ class WarpPlan:
     weigh its (0, 0), (0, 1), (1, 0) and (1, 1) taps as (row, column) offsets.
     A tap outside the source reads the pad.
 
-    The plan is built in bands of `_BAND_ROWS` output rows.  Every operation
-    that makes it is elementwise, so a band, a row slice of the output, gets
-    exactly the values the whole-output expressions would give.  24 bytes per
-    output sample stay alive: int64 `base` and float64 `du`, `dv`."""
+    The plan holds the `_band_taps` of every band of `_BAND_ROWS` output rows.
+    Every operation that makes them is elementwise, so a band, a row slice of
+    the output, gets exactly the values the whole-output expressions would
+    give.  24 bytes per output sample stay alive: int64 `base` and float64
+    `du`, `dv`; a plan pays for them only when several planes share it."""
 
     src_shape: tuple[int, int]
     out_shape: tuple[int, int]
@@ -155,33 +156,41 @@ def _bands(height: int):
     return (slice(r0, min(r0 + _BAND_ROWS, height)) for r0 in range(0, height, _BAND_ROWS))
 
 
+def _band_taps(inv: np.ndarray, band: slice, out_width: int, src_shape: tuple[int, int]):
+    """(base, du, dv) of the output rows in band, as WarpPlan defines them:
+    each sample center pulled back through inv into a source of shape
+    src_shape (height, width)."""
+    h_src, w_src = src_shape
+    gx = (np.arange(out_width) + 0.5)[None, :]
+    gy = (np.arange(band.start, band.stop) + 0.5)[:, None]
+    w = inv[2, 0] * gx + inv[2, 1] * gy + inv[2, 2]
+    horizon = np.abs(w) < _DET_EPS
+    w[horizon] = 1.0
+    u = (inv[0, 0] * gx + inv[0, 1] * gy + inv[0, 2]) / w - 0.5
+    v = (inv[1, 0] * gx + inv[1, 1] * gy + inv[1, 2]) / w - 0.5
+    iu = np.floor(u)
+    iv = np.floor(v)
+    du = np.subtract(u, iu, out=u)
+    dv = np.subtract(v, iv, out=v)
+    # A top-left tap clamped into [-2, w_src] x [-2, h_src] keeps every tap
+    # inside the source where it was and moves every outside tap onto the
+    # pad; a horizon sample reads only the pad, at column w_src.
+    np.clip(iu, -2, w_src, out=iu)
+    iu[horizon] = w_src
+    np.clip(iv, -2, h_src, out=iv)
+    base = (iv.astype(np.int64) + 2) * (w_src + 4) + (iu.astype(np.int64) + 2)
+    return base, du, dv
+
+
 def warp_plan(inv: np.ndarray, out_width: int, out_height: int, src_shape: tuple[int, int]) -> WarpPlan:
     """Pull every output sample center back through inv and record its four
     bilinear taps into a source of shape src_shape (height, width)."""
-    h_src, w_src = src_shape
     base = np.empty((out_height, out_width), dtype=np.int64)
     du = np.empty((out_height, out_width))
     dv = np.empty((out_height, out_width))
-    gx = (np.arange(out_width) + 0.5)[None, :]
     for band in _bands(out_height):
-        gy = (np.arange(band.start, band.stop) + 0.5)[:, None]
-        w = inv[2, 0] * gx + inv[2, 1] * gy + inv[2, 2]
-        horizon = np.abs(w) < _DET_EPS
-        w[horizon] = 1.0
-        u = (inv[0, 0] * gx + inv[0, 1] * gy + inv[0, 2]) / w - 0.5
-        v = (inv[1, 0] * gx + inv[1, 1] * gy + inv[1, 2]) / w - 0.5
-        iu = np.floor(u)
-        iv = np.floor(v)
-        np.subtract(u, iu, out=du[band])
-        np.subtract(v, iv, out=dv[band])
-        # A top-left tap clamped into [-2, w_src] x [-2, h_src] keeps every
-        # tap inside the source where it was and moves every outside tap onto
-        # the pad; a horizon sample reads only the pad, at column w_src.
-        np.clip(iu, -2, w_src, out=iu)
-        iu[horizon] = w_src
-        np.clip(iv, -2, h_src, out=iv)
-        base[band] = (iv.astype(np.int64) + 2) * (w_src + 4) + (iu.astype(np.int64) + 2)
-    return WarpPlan((h_src, w_src), (out_height, out_width), base, du, dv)
+        base[band], du[band], dv[band] = _band_taps(inv, band, out_width, src_shape)
+    return WarpPlan(tuple(src_shape), (out_height, out_width), base, du, dv)
 
 
 def warp_plane(
@@ -189,24 +198,25 @@ def warp_plane(
 ) -> np.ndarray:
     """Bilinear inverse warp of one plane; sources outside it contribute 0.
 
-    `plan` must come from `warp_plan(inv, out_width, out_height, plane.shape)`
-    (built here when None), so the planes of one frame share the coordinate
-    work.  The taps are gathered from `np.pad(plane, 2)`, so an outside tap
-    adds `weight * +0.0 = +0.0`, the weight being finite and >= 0: exactly the
-    `0.0 * sample` of a tap masked to weight 0.0, for a sample >= 0.  So for
-    planes that are finite and >= 0 (every MeasurementFrame plane and every
-    ideal plane of the generator) the result is bit-identical to gathering
-    each tap only where it lies inside the source: the taps are summed in the
-    same order with the same weight expressions.
+    `plan` must come from `warp_plan(inv, out_width, out_height, plane.shape)`,
+    so the planes of one frame share the coordinate work.  Without one, each
+    band's taps are computed right before its gather and dropped after it, so
+    no output-sized array but the result is made.  The taps are gathered from
+    `np.pad(plane, 2)`, so an outside tap adds `weight * +0.0 = +0.0`, the
+    weight being finite and >= 0: exactly the `0.0 * sample` of a tap masked
+    to weight 0.0, for a sample >= 0.  So for planes that are finite and >= 0
+    (every MeasurementFrame plane and every ideal plane of the generator) the
+    result is bit-identical to gathering each tap only where it lies inside
+    the source: the taps are summed in the same order with the same weight
+    expressions.
 
-    The gather runs band by band over the plan's rows, while a band's weights
-    and taps are in cache.  Forming the weights from `du`/`dv`, gathering and
-    summing are all elementwise, so banding changes no output bit.
+    The gather runs band by band, while a band's weights and taps are in
+    cache.  Making the taps, forming the weights from `du`/`dv`, gathering and
+    summing are all elementwise, so neither banding nor the plan changes an
+    output bit.
     """
     out_shape = (out_height, out_width)
-    if plan is None:
-        plan = warp_plan(inv, out_width, out_height, plane.shape)
-    elif plan.src_shape != plane.shape or plan.out_shape != out_shape:
+    if plan is not None and (plan.src_shape != plane.shape or plan.out_shape != out_shape):
         raise GeometryError(
             f"warp plan maps {plan.src_shape} onto {plan.out_shape}; got a {plane.shape} plane onto {out_shape}"
         )
@@ -216,7 +226,10 @@ def warp_plane(
     t00, t01, t10, t11 = src, src[1:], src[row:], src[row + 1 :]
     out = np.empty(out_shape)
     for band in _bands(out_height):
-        base, du, dv = plan.base[band], plan.du[band], plan.dv[band]
+        if plan is None:
+            base, du, dv = _band_taps(inv, band, out_width, plane.shape)
+        else:
+            base, du, dv = plan.base[band], plan.du[band], plan.dv[band]
         # Weights (1 - du) * (1 - dv), du * (1 - dv), (1 - du) * dv, du * dv.
         ru, rv = 1 - du, 1 - dv
         acc = out[band]
@@ -232,14 +245,16 @@ def warp_frame(frame: MeasurementFrame, h: Homography, out_width: int, out_heigh
 
     Each output sample center is pulled back through h^-1; sources outside the
     input frame contribute 0.  Every plane of frame.planes is warped with the
-    same mapping.  Each warped plane becomes float32 (a chroma plane clipped
-    to [0, 1] first) before the next is warped, so one float64 plane is alive
-    at a time.
+    same mapping: a frame with chroma shares one WarpPlan among its three
+    planes, and a luminance-only frame makes its taps band by band inside its
+    one warp_plane call.  Each warped plane becomes float32 (a chroma plane
+    clipped to [0, 1] first) before the next is warped, so one float64 plane
+    is alive at a time.
     """
     if out_width <= 0 or out_height <= 0:
         raise GeometryError(f"output size must be positive, got {out_width}x{out_height}")
     inv = h.inverse().matrix
-    plan = warp_plan(inv, out_width, out_height, frame.luminance.shape)
+    plan = warp_plan(inv, out_width, out_height, frame.luminance.shape) if frame.has_chroma else None
     planes = []
     for plane in frame.planes:
         out = warp_plane(plane, inv, out_width, out_height, plan)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -198,9 +199,10 @@ def _lloyd(columns: np.ndarray, k: int, restart_seed: int):
 def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: int = 1) -> KMeansModel:
     """Best-of-n_init Lloyd clustering; deterministic for a given (Y, config).
 
-    Restarts may run on a thread pool; the winner is still the lowest-inertia
-    restart with ties broken by restart index, so the result is identical to a
-    sequential run.
+    Restarts may run on a thread pool.  Their results are taken in restart
+    order as they arrive, and only the best so far is kept: a restart wins
+    only with a strictly lower inertia, so ties go to the lowest restart index
+    and the result is identical to a sequential run.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[1] < 1:
@@ -216,17 +218,12 @@ def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: in
     def run(restart_seed: int):
         return _lloyd(columns, config.k, restart_seed)
 
+    # min keeps the first of equal minima and holds one item at a time.
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, seeds))
+            centroids, labels, inertia = min(pool.map(run, seeds), key=itemgetter(2))
     else:
-        results = [run(s) for s in seeds]
-
-    best = 0
-    for r in range(1, len(results)):
-        if results[r][2] < results[best][2]:
-            best = r
-    centroids, labels, inertia = results[best]
+        centroids, labels, inertia = min(map(run, seeds), key=itemgetter(2))
     centroids.setflags(write=False)
     labels.setflags(write=False)
     return KMeansModel(centroids=centroids, labels=labels, inertia=inertia)

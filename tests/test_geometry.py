@@ -330,6 +330,24 @@ def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype):
         assert not np.signbit(out).any()
 
 
+def test_luminance_only_warp_frame_equals_the_planned_warp():
+    # warp_frame makes a one-plane frame's taps band by band, with no plan;
+    # a ragged last band and a horizon column must still give the planned
+    # warp's bits.
+    rng = np.random.default_rng(22)
+    frame = make_frame(rng.uniform(0, 80, size=(40, 50)))
+    h = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1 / 32.5, 0.0, 1.0]])).inverse()
+    out_width, out_height = 72, RAGGED_HEIGHTS["ragged"]
+    inv = h.inverse().matrix
+    gx = np.arange(out_width) + 0.5
+    assert np.count_nonzero(np.abs(inv[2, 0] * gx + inv[2, 2]) < 1e-12) == 1
+    plan = geometry.warp_plan(inv, out_width, out_height, frame.luminance.shape)
+    expected = geometry.warp_plane(frame.luminance, inv, out_width, out_height, plan).astype(np.float32)
+    out = warp_frame(frame, h, out_width, out_height)
+    assert not out.has_chroma
+    assert out.luminance.tobytes() == expected.tobytes()
+
+
 def test_warp_plan_of_another_shape_is_rejected():
     inv = np.eye(3)
     plan = geometry.warp_plan(inv, 20, 10, (10, 20))

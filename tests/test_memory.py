@@ -3,7 +3,9 @@
 Each bound is the sum of the arrays the code keeps alive at its peak, plus a
 slack for band temporaries and allocator rounding.  The tracemalloc peak
 counts only what is allocated during the call, so an input frame made before
-it is not counted.
+it is not counted.  A frame with chroma shares one warp plan among its three
+planes and is bounded with it; a luminance-only frame holds no plan, so its
+bound has no PLAN term.
 """
 
 import math
@@ -12,6 +14,7 @@ import tracemalloc
 import pytest
 
 from uled_inspect import geometry, pipeline, synthgen
+from uled_inspect.io import MeasurementFrame
 
 from conftest import acceptance_config
 
@@ -43,15 +46,22 @@ def config():
     return acceptance_config(grid_rows=44, grid_cols=44, rotation_deg=1.0, perspective_strength=0.012, seed=202)
 
 
-def test_warp_frame_peak_is_bounded_per_output_sample(config):
+@pytest.fixture(scope="module")
+def rectify_args(config):
+    """(frame, homography, out_width, out_height) of the pipeline's rectify step."""
     frame, _, corners = synthgen.generate(config)
-    assert frame.has_chroma
     width, height = pipeline._quad_size(corners)
     m = pipeline.RECTIFY_MARGIN_PX
     h = geometry.estimate_homography(corners, [(m, m), (m + width, m), (m + width, m + height), (m, m + height)])
     out_w, out_h = math.ceil(width + 2 * m), math.ceil(height + 2 * m)
+    assert out_w * out_h > 1_000_000
+    return frame, h, out_w, out_h
+
+
+def test_warp_frame_peak_is_bounded_per_output_sample(rectify_args):
+    frame, h, out_w, out_h = rectify_args
+    assert frame.has_chroma
     out_samples = out_w * out_h
-    assert out_samples > 1_000_000
 
     out, peak = traced_peak(geometry.warp_frame, frame, h, out_w, out_h)
 
@@ -64,6 +74,23 @@ def test_warp_frame_peak_is_bounded_per_output_sample(config):
     # plan of five output-sized arrays held whole reads about 80.
     assert peak < bound, f"{peak / out_samples:.1f} bytes per output sample"
     assert out.luminance.shape == (out_h, out_w)
+
+
+def test_luminance_only_warp_frame_holds_no_plan(rectify_args):
+    frame, h, out_w, out_h = rectify_args
+    frame = MeasurementFrame(frame.width, frame.height, frame.luminance)
+    out_samples = out_w * out_h
+
+    out, peak = traced_peak(geometry.warp_frame, frame, h, out_w, out_h)
+
+    # At the cast of the one plane: that plane in float64 and in float32, and
+    # the float32 zero-padded source.
+    padded_src = (frame.height + 4) * (frame.width + 4)
+    bound = (FLOAT64_PLANE + FLOAT32_PLANE + SLACK) * out_samples + FLOAT32_PLANE * padded_src
+    # The bound is about 24 bytes per output sample and the peak about 14; a
+    # whole plan built for the one plane reads about 37.
+    assert peak < bound, f"{peak / out_samples:.1f} bytes per output sample"
+    assert not out.has_chroma
 
 
 def test_generate_peak_is_bounded_per_output_sample(config):
