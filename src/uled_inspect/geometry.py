@@ -142,7 +142,9 @@ class WarpPlan:
     Every operation that makes them is elementwise, so a band, a row slice of
     the output, gets exactly the values the whole-output expressions would
     give.  24 bytes per output sample stay alive: int64 `base` and float64
-    `du`, `dv`; a plan pays for them only when several planes share it."""
+    `du`, `dv`; a plan pays for them only when several planes share it.  The
+    generator shares one among its four warps, where it saves time;
+    warp_frame uses none, so an analysis holds no plan."""
 
     src_shape: tuple[int, int]
     out_shape: tuple[int, int]
@@ -163,11 +165,23 @@ def _band_taps(inv: np.ndarray, band: slice, out_width: int, src_shape: tuple[in
     h_src, w_src = src_shape
     gx = (np.arange(out_width) + 0.5)[None, :]
     gy = (np.arange(band.start, band.stop) + 0.5)[:, None]
-    w = inv[2, 0] * gx + inv[2, 1] * gy + inv[2, 2]
+    # w, u and v are updated in place, each update the next operation of
+    # u = (a * gx + b * gy + c) / w - 0.5 (w stops after "+ c") in its order,
+    # so they get the values of those expressions.
+    w = inv[2, 0] * gx + inv[2, 1] * gy
+    w += inv[2, 2]
     horizon = np.abs(w) < _DET_EPS
-    w[horizon] = 1.0
-    u = (inv[0, 0] * gx + inv[0, 1] * gy + inv[0, 2]) / w - 0.5
-    v = (inv[1, 0] * gx + inv[1, 1] * gy + inv[1, 2]) / w - 0.5
+    on_horizon = horizon.any()
+    if on_horizon:
+        w[horizon] = 1.0
+    u = inv[0, 0] * gx + inv[0, 1] * gy
+    u += inv[0, 2]
+    u /= w
+    u -= 0.5
+    v = inv[1, 0] * gx + inv[1, 1] * gy
+    v += inv[1, 2]
+    v /= w
+    v -= 0.5
     iu = np.floor(u)
     iv = np.floor(v)
     du = np.subtract(u, iu, out=u)
@@ -176,10 +190,17 @@ def _band_taps(inv: np.ndarray, band: slice, out_width: int, src_shape: tuple[in
     # inside the source where it was and moves every outside tap onto the
     # pad; a horizon sample reads only the pad, at column w_src.
     np.clip(iu, -2, w_src, out=iu)
-    iu[horizon] = w_src
+    if on_horizon:
+        iu[horizon] = w_src
     np.clip(iv, -2, h_src, out=iv)
-    base = (iv.astype(np.int64) + 2) * (w_src + 4) + (iu.astype(np.int64) + 2)
-    return base, du, dv
+    # The flat index (iv + 2) * (w_src + 4) + iu + 2, as
+    # iv * (w_src + 4) + iu + (2 * (w_src + 4) + 2): every term is an
+    # integer in float64, so the sum is exact below 2**53 samples, whatever
+    # its order; cast once.
+    iv *= w_src + 4
+    iv += iu
+    iv += 2 * (w_src + 4) + 2
+    return iv.astype(np.int64), du, dv
 
 
 def warp_plan(inv: np.ndarray, out_width: int, out_height: int, src_shape: tuple[int, int]) -> WarpPlan:
@@ -194,7 +215,13 @@ def warp_plan(inv: np.ndarray, out_width: int, out_height: int, src_shape: tuple
 
 
 def warp_plane(
-    plane: np.ndarray, inv: np.ndarray, out_width: int, out_height: int, plan: WarpPlan | None = None
+    plane: np.ndarray,
+    inv: np.ndarray,
+    out_width: int,
+    out_height: int,
+    plan: WarpPlan | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bilinear inverse warp of one plane; sources outside it contribute 0.
 
@@ -210,6 +237,12 @@ def warp_plane(
     the source: the taps are summed in the same order with the same weight
     expressions.
 
+    The result is a new float64 array, or `out` when it is given: an array of
+    shape (out_height, out_width), float32 for a MeasurementFrame plane, into
+    which each band's float64 sum is stored as it is made, so no output-sized
+    float64 array exists.  Storing rounds each sample as `astype` of the
+    float64 result would.
+
     The gather runs band by band, while a band's weights and taps are in
     cache.  Making the taps, forming the weights from `du`/`dv`, gathering and
     summing are all elementwise, so neither banding nor the plan changes an
@@ -220,24 +253,37 @@ def warp_plane(
         raise GeometryError(
             f"warp plan maps {plan.src_shape} onto {plan.out_shape}; got a {plane.shape} plane onto {out_shape}"
         )
+    if out is not None and out.shape != out_shape:
+        raise GeometryError(f"warp output array has shape {out.shape}, expected {out_shape}")
     # A float32 sample times a float64 weight equals its float64 copy times it.
     src = np.pad(plane, 2).ravel()
     row = plane.shape[1] + 4
     t00, t01, t10, t11 = src, src[1:], src[row:], src[row + 1 :]
-    out = np.empty(out_shape)
+    result = np.empty(out_shape) if out is None else out
+    # Band buffers, reused: the weight of one tap and, when the result is
+    # `out`, the band's float64 sum.
+    weight_buf = np.empty((min(_BAND_ROWS, out_height), out_width))
+    sum_buf = None if out is None else np.empty_like(weight_buf)
     for band in _bands(out_height):
         if plan is None:
             base, du, dv = _band_taps(inv, band, out_width, plane.shape)
         else:
             base, du, dv = plan.base[band], plan.du[band], plan.dv[band]
-        # Weights (1 - du) * (1 - dv), du * (1 - dv), (1 - du) * dv, du * dv.
+        rows = band.stop - band.start
+        acc = result[band] if out is None else sum_buf[:rows]
+        weight = weight_buf[:rows]
+        # Weights (1 - du) * (1 - dv), du * (1 - dv), (1 - du) * dv, du * dv,
+        # each times its tap, summed in that order.
         ru, rv = 1 - du, 1 - dv
-        acc = out[band]
-        np.multiply(ru * rv, t00.take(base), out=acc)
-        acc += du * rv * t01.take(base)
-        acc += ru * dv * t10.take(base)
-        acc += du * dv * t11.take(base)
-    return out
+        np.multiply(ru, rv, out=acc)
+        acc *= t00.take(base)
+        for fu, fv, tap in ((du, rv, t01), (ru, dv, t10), (du, dv, t11)):
+            np.multiply(fu, fv, out=weight)
+            weight *= tap.take(base)
+            acc += weight
+        if out is not None:
+            out[band] = acc
+    return result
 
 
 def warp_frame(frame: MeasurementFrame, h: Homography, out_width: int, out_height: int) -> MeasurementFrame:
@@ -245,24 +291,25 @@ def warp_frame(frame: MeasurementFrame, h: Homography, out_width: int, out_heigh
 
     Each output sample center is pulled back through h^-1; sources outside the
     input frame contribute 0.  Every plane of frame.planes is warped with the
-    same mapping: a frame with chroma shares one WarpPlan among its three
-    planes, and a luminance-only frame makes its taps band by band inside its
-    one warp_plane call.  Each warped plane becomes float32 (a chroma plane
-    clipped to [0, 1] first) before the next is warped, so one float64 plane
-    is alive at a time.
+    same mapping, each in its own plan-free warp_plane call that makes the
+    taps band by band, into a float32 array.  A chroma plane is then clipped
+    to [0, 1] in float32, which equals clipping its float64 warp before the
+    cast: every warped sample is >= +0.0 (a sum of non-negative weights times
+    non-negative samples), rounding to float32 is monotone, and 0 and 1 are
+    exact.  So the rectified frame, 4 bytes per output sample and plane, is
+    the only output-sized array made, besides band temporaries and a
+    zero-padded copy of the source plane being warped.
     """
     if out_width <= 0 or out_height <= 0:
         raise GeometryError(f"output size must be positive, got {out_width}x{out_height}")
     inv = h.inverse().matrix
-    plan = warp_plan(inv, out_width, out_height, frame.luminance.shape) if frame.has_chroma else None
     planes = []
     for plane in frame.planes:
-        out = warp_plane(plane, inv, out_width, out_height, plan)
+        out = np.empty((out_height, out_width), dtype=np.float32)
+        warp_plane(plane, inv, out_width, out_height, out=out)
         if planes:  # a chroma plane
             np.clip(out, 0.0, 1.0, out=out)
-        planes.append(out.astype(np.float32))
-        del out
-    del plan  # 24 bytes per output sample; free it before the frame checks
+        planes.append(out)
     return MeasurementFrame(out_width, out_height, *planes)
 
 

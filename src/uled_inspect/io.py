@@ -145,8 +145,13 @@ class DefectMap:
 
 
 def write_frame(frame: MeasurementFrame, path) -> None:
-    header = _HEADER.pack(MAGIC, frame.width, frame.height, len(frame.planes))
-    Path(path).write_bytes(b"".join([header, *(plane.astype("<f4").tobytes() for plane in frame.planes)]))
+    """Write the header, then each plane's float32 samples straight from the
+    array (a copy only when a plane is not contiguous little-endian float32),
+    so writing adds no frame-sized buffer."""
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(MAGIC, frame.width, frame.height, len(frame.planes)))
+        for plane in frame.planes:
+            f.write(np.ascontiguousarray(plane, dtype="<f4"))
 
 
 def read_frame(path) -> MeasurementFrame:

@@ -18,6 +18,7 @@ import shutil
 import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -121,17 +122,21 @@ def _overlay_svg(pixel_grid: grid.PixelGrid, cells: features.CellTable, defectiv
     peak = float(mean_l.max()) or 1.0
     # np.rint rounds halves to even, as Python's round does.
     heat = np.rint(255 * np.clip(mean_l / peak, 0.0, 1.0)).astype(np.int64).tolist()
-    x0, x1 = xs[cells.cols], xs[cells.cols + 1]
-    y0, y1 = ys[cells.rows], ys[cells.rows + 1]
-    rects = [
-        f'x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}"'
-        for x, y, w, h in zip(x0.tolist(), y0.tolist(), (x1 - x0).tolist(), (y1 - y0).tolist())
-    ]
+    # A cell's x and width are its column's, its y and height its row's, so
+    # each is formatted once per column or row; a cell only joins them.
+    col_x = [f'x="{x:.2f}"' for x in xs[:-1].tolist()]
+    col_w = [f'width="{w:.2f}"' for w in np.diff(xs).tolist()]
+    row_y = [f'y="{y:.2f}"' for y in ys[:-1].tolist()]
+    row_h = [f'height="{h:.2f}"' for h in np.diff(ys).tolist()]
+    rows, cols = cells.rows.tolist(), cells.cols.tolist()
+    fills = [f'fill="#{level:02x}{level:02x}{level:02x}"/>' for level in range(256)]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:.1f} {height:.1f}">',
         f'<rect x="0" y="0" width="{width:.1f}" height="{height:.1f}" fill="black"/>',
     ]
-    parts += [f'<rect {rect} fill="#{level:02x}{level:02x}{level:02x}"/>' for rect, level in zip(rects, heat)]
+    parts += [
+        f"<rect {col_x[c]} {row_y[r]} {col_w[c]} {row_h[r]} {fills[level]}" for r, c, level in zip(rows, cols, heat)
+    ]
     for x in xs:
         parts.append(
             f'<line x1="{x:.2f}" y1="{ys[0]:.2f}" x2="{x:.2f}" y2="{ys[-1]:.2f}" '
@@ -142,9 +147,11 @@ def _overlay_svg(pixel_grid: grid.PixelGrid, cells: features.CellTable, defectiv
             f'<line x1="{xs[0]:.2f}" y1="{y:.2f}" x2="{xs[-1]:.2f}" y2="{y:.2f}" '
             'stroke="#3366cc" stroke-width="0.5"/>'
         )
-    for rect, bad in zip(rects, defective.tolist()):
+    for r, c, bad in zip(rows, cols, defective.tolist()):
         if bad:
-            parts.append(f'<rect {rect} fill="none" stroke="#dd2222" stroke-width="1.2"/>')
+            parts.append(
+                f'<rect {col_x[c]} {row_y[r]} {col_w[c]} {row_h[r]} fill="none" stroke="#dd2222" stroke-width="1.2"/>'
+            )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -166,10 +173,15 @@ def _cell_text(
     return text
 
 
-def _report_json(report: dict, cell_text: dict[str, list[str]]) -> str:
-    """report.json: the summary sections of report plus a "per_cell" list
-    whose entries cell_text (see _cell_text) holds as text, byte for byte
-    json.dumps(..., sort_keys=True, indent=2) of the whole plus a newline.
+# Per-cell entries per piece of report.json text that _report_json yields.
+_REPORT_CHUNK = 1024
+
+
+def _report_json(report: dict, cell_text: dict[str, list[str]]) -> Iterator[str]:
+    """report.json in pieces: the summary sections of report plus a
+    "per_cell" list whose entries cell_text (see _cell_text) holds as text.
+    Joined, the pieces are byte for byte json.dumps(..., sort_keys=True,
+    indent=2) of the whole plus a newline.
 
     With indent set, json.dumps leaves its C encoder for the pure-Python one,
     which is slow on tens of thousands of per-cell entries.  So only the
@@ -180,15 +192,45 @@ def _report_json(report: dict, cell_text: dict[str, list[str]]) -> str:
     which is what json writes for any finite float.  Every descriptor is
     finite: io.MeasurementFrame rejects non-finite samples and
     features.CellTable non-finite descriptors.
+
+    The text before the list comes first, then the entries _REPORT_CHUNK at a
+    time, then the rest, so a caller that writes each piece as it comes never
+    holds the whole text.
     """
     rest = json.dumps({**report, "per_cell": []}, sort_keys=True, indent=2) + "\n"
     # The unpacking fails unless the key stands exactly once.
     head, tail = rest.split('"per_cell": []')
     keys = sorted(cell_text)
+    columns = [cell_text[key] for key in keys]
+    count = len(columns[0])
+    if not count:
+        yield f'{head}"per_cell": []{tail}'
+        return
     template = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    }"
-    entries = [template % entry for entry in zip(*(cell_text[key] for key in keys))]
-    block = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    return f'{head}"per_cell": {block}{tail}'
+    yield f'{head}"per_cell": [\n'
+    for start in range(0, count, _REPORT_CHUNK):
+        chunk = zip(*(column[start : start + _REPORT_CHUNK] for column in columns))
+        yield ("" if start == 0 else ",\n") + ",\n".join(template % entry for entry in chunk)
+    yield "\n  ]" + tail
+
+
+def _artifact_texts(report, cells, defective, truth_cells, proj_x, proj_y, pixel_grid):
+    """(name, text pieces) of every artifact, in ARTIFACT_NAMES order.
+
+    Each artifact is made only when the caller asks for the next one, so a
+    caller that writes each before it asks holds one at a time; report.json
+    comes in pieces (see _report_json).  The per-cell text of report.json and
+    features.csv, about 12 MiB on a 150x150-cell frame, is dropped once both
+    are made.
+    """
+    cell_text = _cell_text(cells, defective, truth_cells)
+    yield "report.json", _report_json(report, cell_text)
+    yield "projections_x.csv", [grid.projection_csv(proj_x)]
+    yield "projections_y.csv", [grid.projection_csv(proj_y)]
+    yield "features.csv", [features.to_csv(cell_text)]
+    del cell_text
+    yield "grid.json", [pixel_grid.to_json() + "\n"]
+    yield "overlay.svg", [_overlay_svg(pixel_grid, cells, defective)]
 
 
 def run(config: PipelineConfig) -> ClassificationReport:
@@ -264,22 +306,14 @@ def run(config: PipelineConfig) -> ClassificationReport:
     out_dir = Path(config.output_dir)
     with _stage("artifacts"):
         out_dir.mkdir(parents=True, exist_ok=True)
-        cell_text = _cell_text(cells, defective, truth_cells)
-        payloads = {
-            "report.json": _report_json(report, cell_text),
-            "projections_x.csv": grid.projection_csv(proj_x),
-            "projections_y.csv": grid.projection_csv(proj_y),
-            "features.csv": features.to_csv(cell_text),
-            "grid.json": pixel_grid.to_json() + "\n",
-            "overlay.svg": _overlay_svg(pixel_grid, cells, defective),
-        }
         # Staged inside out_dir, not beside it, so the renames never cross a
         # filesystem boundary (out_dir may be a mount point) and need no write
         # access to its parent.
         staging = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
         try:
-            for name in ARTIFACT_NAMES:
-                (staging / name).write_text(payloads[name], encoding="ascii")
+            for name, pieces in _artifact_texts(report, cells, defective, truth_cells, proj_x, proj_y, pixel_grid):
+                with (staging / name).open("w", encoding="ascii") as f:
+                    f.writelines(pieces)
             for name in ARTIFACT_NAMES:
                 os.replace(staging / name, out_dir / name)
         finally:

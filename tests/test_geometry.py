@@ -262,13 +262,17 @@ def masked_warp_oracle(plane, inv, out_width, out_height):
     return out
 
 
-def _rotation_perspective_inverse():
+def _rotation_perspective():
     # Rotates by 20 degrees about (25, 20) with a perspective term, into an
     # output larger than the source, so many taps land outside it.
     theta = math.radians(20.0)
     c, s = math.cos(theta), math.sin(theta)
     m = np.array([[c, -s, 25.0 - 25.0 * c + 20.0 * s], [s, c, 20.0 - 25.0 * s - 20.0 * c], [0.002, -0.003, 1.0]])
-    return Homography(m).inverse().matrix
+    return Homography(m)
+
+
+def _rotation_perspective_inverse():
+    return _rotation_perspective().inverse().matrix
 
 
 # Output heights that end in a short band of warp_plan and warp_plane: one
@@ -330,22 +334,69 @@ def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype):
         assert not np.signbit(out).any()
 
 
+def warp_frame_case(case="horizon"):
+    """(homography, inverse matrix, out_width, out_height) of a warp_frame
+    call whose last band is ragged.  In "horizon", output column 32 maps to
+    the horizon; "rotation_perspective" is _rotation_perspective."""
+    if case == "horizon":
+        h = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1 / 32.5, 0.0, 1.0]])).inverse()
+    else:
+        h = _rotation_perspective()
+    out_width, out_height = 72, RAGGED_HEIGHTS["ragged"]
+    inv = h.inverse().matrix
+    gx = np.arange(out_width) + 0.5
+    assert np.count_nonzero(np.abs(inv[2, 0] * gx + inv[2, 2]) < 1e-12) == (case == "horizon")
+    return h, inv, out_width, out_height
+
+
 def test_luminance_only_warp_frame_equals_the_planned_warp():
     # warp_frame makes a one-plane frame's taps band by band, with no plan;
     # a ragged last band and a horizon column must still give the planned
     # warp's bits.
     rng = np.random.default_rng(22)
     frame = make_frame(rng.uniform(0, 80, size=(40, 50)))
-    h = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1 / 32.5, 0.0, 1.0]])).inverse()
-    out_width, out_height = 72, RAGGED_HEIGHTS["ragged"]
-    inv = h.inverse().matrix
-    gx = np.arange(out_width) + 0.5
-    assert np.count_nonzero(np.abs(inv[2, 0] * gx + inv[2, 2]) < 1e-12) == 1
+    h, inv, out_width, out_height = warp_frame_case()
     plan = geometry.warp_plan(inv, out_width, out_height, frame.luminance.shape)
     expected = geometry.warp_plane(frame.luminance, inv, out_width, out_height, plan).astype(np.float32)
     out = warp_frame(frame, h, out_width, out_height)
     assert not out.has_chroma
     assert out.luminance.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", ["horizon", "rotation_perspective"])
+def test_three_plane_warp_frame_equals_the_planned_warp(case):
+    # Each plane is warped with no plan straight into float32 and a chroma
+    # plane clipped there; that must give the bits of the planned float64
+    # warp, clipped to [0, 1] and then cast.  Under the rotation, a chroma
+    # plane of ones has warped samples that round above 1 in float64.
+    rng = np.random.default_rng(23)
+    shape = (40, 50)
+    frame = make_frame(rng.uniform(0, 80, size=shape), np.ones(shape), rng.uniform(0.0, 1.0, size=shape))
+    h, inv, out_width, out_height = warp_frame_case(case)
+    plan = geometry.warp_plan(inv, out_width, out_height, shape)
+    expected = [geometry.warp_plane(plane, inv, out_width, out_height, plan) for plane in frame.planes]
+    assert (expected[1] > 1.0).any() == (case == "rotation_perspective")
+    for plane in expected[1:]:
+        np.clip(plane, 0.0, 1.0, out=plane)
+    out = warp_frame(frame, h, out_width, out_height)
+    assert out.has_chroma
+    for got, want in zip(out.planes, expected):
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.astype(np.float32).tobytes()
+
+
+def test_warp_plane_writes_into_out():
+    rng = np.random.default_rng(24)
+    plane = rng.uniform(0, 80, size=(40, 50)).astype(np.float32)
+    inv = _rotation_perspective_inverse()
+    expected = geometry.warp_plane(plane, inv, 72, 64)
+    for dtype in (np.float32, np.float64):
+        out = np.empty((64, 72), dtype=dtype)
+        assert geometry.warp_plane(plane, inv, 72, 64, out=out) is out
+        assert out.tobytes() == expected.astype(dtype).tobytes()
+    for shape in ((72, 64), (64, 71), (64 * 72,)):
+        with pytest.raises(GeometryError, match="warp output array"):
+            geometry.warp_plane(plane, inv, 72, 64, out=np.empty(shape, dtype=np.float32))
 
 
 def test_warp_plan_of_another_shape_is_rejected():

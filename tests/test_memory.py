@@ -1,19 +1,22 @@
-"""Memory bounds of the warp and the generator, in bytes per output sample.
+"""Memory bounds of the warp, the generator and the frame writer, in bytes
+per output sample.
 
 Each bound is the sum of the arrays the code keeps alive at its peak, plus a
 slack for band temporaries and allocator rounding.  The tracemalloc peak
 counts only what is allocated during the call, so an input frame made before
-it is not counted.  A frame with chroma shares one warp plan among its three
-planes and is bounded with it; a luminance-only frame holds no plan, so its
-bound has no PLAN term.
+it is not counted.  warp_frame holds no warp plan and makes no float64 plane:
+it warps every plane band by band straight into a float32 array, so its
+bounds have no PLAN or FLOAT64_PLANE term.  The generator shares one plan
+among its four warps and is bounded with it.
 """
 
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from uled_inspect import geometry, pipeline, synthgen
+from uled_inspect import geometry, io, pipeline, synthgen
 from uled_inspect.io import MeasurementFrame
 
 from conftest import acceptance_config
@@ -65,13 +68,12 @@ def test_warp_frame_peak_is_bounded_per_output_sample(rectify_args):
 
     out, peak = traced_peak(geometry.warp_frame, frame, h, out_w, out_h)
 
-    # At the last plane's warp: the plan, that plane in float64, the three
-    # float32 planes (the last one being cast), and the float32 zero-padded
-    # source of np.pad(plane, 2).
+    # At the last plane's warp: the three float32 planes and the float32
+    # zero-padded source of np.pad(plane, 2).
     padded_src = (frame.height + 4) * (frame.width + 4)
-    bound = (PLAN + FLOAT64_PLANE + 3 * FLOAT32_PLANE + SLACK) * out_samples + FLOAT32_PLANE * padded_src
-    # The bound is about 56 bytes per output sample and the peak about 45; a
-    # plan of five output-sized arrays held whole reads about 80.
+    bound = (3 * FLOAT32_PLANE + SLACK) * out_samples + FLOAT32_PLANE * padded_src
+    # The bound is about 24 bytes per output sample and the peak about 18; a
+    # shared plan with one float64 plane on top reads about 45.
     assert peak < bound, f"{peak / out_samples:.1f} bytes per output sample"
     assert out.luminance.shape == (out_h, out_w)
 
@@ -83,14 +85,29 @@ def test_luminance_only_warp_frame_holds_no_plan(rectify_args):
 
     out, peak = traced_peak(geometry.warp_frame, frame, h, out_w, out_h)
 
-    # At the cast of the one plane: that plane in float64 and in float32, and
-    # the float32 zero-padded source.
+    # The one float32 plane and the float32 zero-padded source.
     padded_src = (frame.height + 4) * (frame.width + 4)
-    bound = (FLOAT64_PLANE + FLOAT32_PLANE + SLACK) * out_samples + FLOAT32_PLANE * padded_src
-    # The bound is about 24 bytes per output sample and the peak about 14; a
-    # whole plan built for the one plane reads about 37.
+    bound = (FLOAT32_PLANE + SLACK) * out_samples + FLOAT32_PLANE * padded_src
+    # The bound is about 16 bytes per output sample and the peak about 10; a
+    # whole plan built for the one plane reads about 37, and a float64 warp
+    # cast to float32 about 14.
     assert peak < bound, f"{peak / out_samples:.1f} bytes per output sample"
     assert not out.has_chroma
+
+
+def test_write_frame_adds_at_most_one_plane(tmp_path):
+    # A 3-plane frame of 1 Mpx per plane; the writer may copy one plane at a
+    # time, not join the planes into one buffer.
+    rng = np.random.default_rng(5)
+    width, height = 1000, 1000
+    frame = MeasurementFrame(width, height, *rng.uniform(0.0, 1.0, size=(3, height, width)).astype(np.float32))
+
+    _, peak = traced_peak(io.write_frame, frame, tmp_path / "frame.ulf")
+
+    # The bound is 4 bytes per sample of one plane plus 64 KiB; joining the
+    # planes' bytes reads about 24 bytes per sample of one plane.
+    assert peak < FLOAT32_PLANE * width * height + (64 << 10), f"{peak / (width * height):.1f} bytes per sample"
+    assert io.read_frame(tmp_path / "frame.ulf") == frame
 
 
 def test_generate_peak_is_bounded_per_output_sample(config):

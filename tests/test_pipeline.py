@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import weakref
 from pathlib import Path
@@ -216,16 +217,17 @@ def test_failed_rewrite_keeps_the_earlier_artifact_set(tmp_path, monkeypatch):
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert set(before) == set(ARTIFACT_NAMES)
 
-    write_text = Path.write_text
+    path_open = Path.open
     calls = []
 
-    def fail_third(self, *args, **kwargs):
-        calls.append(self)
-        if len(calls) == 3:
-            raise OSError("disk full")
-        return write_text(self, *args, **kwargs)
+    def fail_third(self, mode="r", *args, **kwargs):
+        if "w" in mode:
+            calls.append(self)
+            if len(calls) == 3:
+                raise OSError("disk full")
+        return path_open(self, mode, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", fail_third)
+    monkeypatch.setattr(Path, "open", fail_third)
     with pytest.raises(PipelineStageError, match="artifacts") as info:
         run(config)
     assert info.value.stage == "artifacts"
@@ -329,7 +331,7 @@ def write_report(cells, defective, truth):
     report.json text the writers make of them."""
     truth_cells = None if truth is None else truth.defective[cells.rows, cells.cols]
     report = {**SECTIONS, "per_cell": per_cell_entries(cells, defective, truth_cells)}
-    return report, pipeline._report_json(SECTIONS, pipeline._cell_text(cells, defective, truth_cells))
+    return report, "".join(pipeline._report_json(SECTIONS, pipeline._cell_text(cells, defective, truth_cells)))
 
 
 def oracle_json(report):
@@ -387,6 +389,33 @@ def test_report_json_matches_json_dumps_on_awkward_floats():
         report, text = write_report(cells, defective, truth)
         assert_same_text(text, oracle_json(report))
         assert all(repr(value) in text for value in awkward)
+
+
+def random_cells(rng, rows, cols):
+    """A CellTable of the given cells with random valid descriptors."""
+    n = len(rows)
+    low = rng.uniform(0.0, 100.0, size=n)
+    high = low + rng.uniform(0.0, 100.0, size=n)
+    mean = low + rng.uniform(size=n) * (high - low)
+    std = rng.uniform(size=n) * (high - low) / 2.0
+    chroma = rng.uniform(size=(n, 2))
+    return features.CellTable(rows=rows, cols=cols, values=np.column_stack([mean, high, low, std, chroma]))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 3])
+def test_report_json_matches_json_dumps_across_chunks(extra):
+    # Entry counts just below, at and just past a chunk boundary of the
+    # per-cell block, and past a second one.
+    n = (1 if extra == 3 else 2) * pipeline._REPORT_CHUNK + extra
+    rng = np.random.default_rng(31)
+    cells = random_cells(rng, np.arange(n) // 40, np.arange(n) % 40)
+    defective = rng.uniform(size=n) < 0.1
+    truth = io.DefectMap.from_cells(n // 40 + 1, 40, [(k // 40, k % 40) for k in np.flatnonzero(defective)[::2]])
+    pieces = list(pipeline._report_json(SECTIONS, pipeline._cell_text(cells, defective, None)))
+    assert len(pieces) == 2 + math.ceil(n / pipeline._REPORT_CHUNK)
+    for truth_map in (truth, None):
+        report, text = write_report(cells, defective, truth_map)
+        assert_same_text(text, oracle_json(report))
 
 
 # Hand-built writer inputs: three of the interior cells of a 3 x 4 grid, with
@@ -535,3 +564,55 @@ def test_overlay_heat_levels_round_half_to_even_like_python():
     levels = [int(level, 16) for level in re.findall(r'fill="#([0-9a-f]{2})\1\1"', svg)]
     assert levels == [int(round(255 * min(max(v, 0.0), 1.0))) for v in (mean_l / 510.0).tolist()]
     assert levels[:4] == [0, 2, 2, 4]
+
+
+def overlay_svg_oracle(pixel_grid, cells, defective):
+    """overlay.svg formatted cell by cell, every coordinate of every cell
+    with its own f-string: the reference for pipeline._overlay_svg."""
+    xs, ys = pixel_grid.x_edges, pixel_grid.y_edges
+    width, height = xs[-1] + xs[0], ys[-1] + ys[0]
+    mean_l = cells.column("mean_l")
+    peak = float(mean_l.max()) or 1.0
+    heat = np.rint(255 * np.clip(mean_l / peak, 0.0, 1.0)).astype(np.int64).tolist()
+    x0, x1 = xs[cells.cols], xs[cells.cols + 1]
+    y0, y1 = ys[cells.rows], ys[cells.rows + 1]
+    rects = [
+        f'x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}"'
+        for x, y, w, h in zip(x0.tolist(), y0.tolist(), (x1 - x0).tolist(), (y1 - y0).tolist())
+    ]
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:.1f} {height:.1f}">',
+        f'<rect x="0" y="0" width="{width:.1f}" height="{height:.1f}" fill="black"/>',
+    ]
+    parts += [f'<rect {rect} fill="#{level:02x}{level:02x}{level:02x}"/>' for rect, level in zip(rects, heat)]
+    for x in xs:
+        parts.append(
+            f'<line x1="{x:.2f}" y1="{ys[0]:.2f}" x2="{x:.2f}" y2="{ys[-1]:.2f}" '
+            'stroke="#3366cc" stroke-width="0.5"/>'
+        )
+    for y in ys:
+        parts.append(
+            f'<line x1="{xs[0]:.2f}" y1="{y:.2f}" x2="{xs[-1]:.2f}" y2="{y:.2f}" '
+            'stroke="#3366cc" stroke-width="0.5"/>'
+        )
+    for rect, bad in zip(rects, defective.tolist()):
+        if bad:
+            parts.append(f'<rect {rect} fill="none" stroke="#dd2222" stroke-width="1.2"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def test_overlay_svg_matches_the_per_cell_oracle_on_an_uneven_grid():
+    # Edges at uneven, non-round spacings, so a column's width and a row's
+    # height differ from cell to cell of the grid and round at the last
+    # digit; only the interior cells are listed, and some are defects.
+    rng = np.random.default_rng(32)
+    x_edges = 3.7 + np.cumsum(rng.uniform(8.0, 12.0, size=31))
+    y_edges = 2.1 + np.cumsum(rng.uniform(8.0, 12.0, size=24))
+    interior = rng.uniform(size=(23, 30)) < 0.9
+    rows, cols = np.nonzero(interior)
+    cells = random_cells(rng, rows, cols)
+    defective = rng.uniform(size=len(rows)) < 0.05
+    assert defective.any()
+    pixel_grid = grid.PixelGrid(x_edges, y_edges, interior)
+    assert pipeline._overlay_svg(pixel_grid, cells, defective) == overlay_svg_oracle(pixel_grid, cells, defective)
