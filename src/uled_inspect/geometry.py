@@ -122,35 +122,12 @@ def apply_homography_array(h: Homography, points: np.ndarray) -> np.ndarray:
     return np.stack([u, v], axis=1)
 
 
-# Output rows per band of warp_plan and warp_plane: every band temporary stays
-# in the L2 cache, and none is output-sized.  Timed on acceptance map 2
-# (a 1401x1401 output, 3 planes; 2-vCPU VM, 4 MiB L2), warp_frame took a
-# median 0.24 s with bands of 8 or 16 rows, 0.26 s with 4, 0.28 s with 32,
-# 0.31 s with 64 and 0.35 s with 128.
+# Output rows per band of warp_plane: every band temporary stays in the L2
+# cache, and none is output-sized.  Timed on acceptance map 2 (a 1401x1401
+# output, 3 planes; 2-vCPU VM, 4 MiB L2), warp_frame took a median 0.24 s with
+# bands of 8 or 16 rows, 0.26 s with 4, 0.28 s with 32, 0.31 s with 64 and
+# 0.35 s with 128.
 _BAND_ROWS = 16
-
-
-@dataclass(frozen=True)
-class WarpPlan:
-    """Bilinear sampling plan of one inverse mapping into the zero-padded
-    source `np.pad(plane, 2)`: the flat index `base` of every output sample's
-    (0, 0) tap, and the fractional offsets `du` (columns) and `dv` (rows) that
-    weigh its (0, 0), (0, 1), (1, 0) and (1, 1) taps as (row, column) offsets.
-    A tap outside the source reads the pad.
-
-    The plan holds the `_band_taps` of every band of `_BAND_ROWS` output rows.
-    Every operation that makes them is elementwise, so a band, a row slice of
-    the output, gets exactly the values the whole-output expressions would
-    give.  24 bytes per output sample stay alive: int64 `base` and float64
-    `du`, `dv`; a plan pays for them only when several planes share it.  The
-    generator shares one among its four warps, where it saves time;
-    warp_frame uses none, so an analysis holds no plan."""
-
-    src_shape: tuple[int, int]
-    out_shape: tuple[int, int]
-    base: np.ndarray
-    du: np.ndarray
-    dv: np.ndarray
 
 
 def _bands(height: int):
@@ -159,9 +136,15 @@ def _bands(height: int):
 
 
 def _band_taps(inv: np.ndarray, band: slice, out_width: int, src_shape: tuple[int, int]):
-    """(base, du, dv) of the output rows in band, as WarpPlan defines them:
-    each sample center pulled back through inv into a source of shape
-    src_shape (height, width)."""
+    """Bilinear taps of the output rows in band: each sample center pulled
+    back through inv into the zero-padded source `np.pad(plane, 2)` of a
+    plane of shape src_shape (height, width).
+
+    Returns the flat int64 index `base` of every sample's (0, 0) tap and the
+    float64 fractional offsets `du` (columns) and `dv` (rows) that weigh its
+    (0, 0), (0, 1), (1, 0) and (1, 1) taps as (row, column) offsets.  A tap
+    outside the source reads the pad.  Every operation is elementwise, so a
+    band gets exactly the values the whole-output expressions would give."""
     h_src, w_src = src_shape
     gx = (np.arange(out_width) + 0.5)[None, :]
     gy = (np.arange(band.start, band.stop) + 0.5)[:, None]
@@ -203,39 +186,25 @@ def _band_taps(inv: np.ndarray, band: slice, out_width: int, src_shape: tuple[in
     return iv.astype(np.int64), du, dv
 
 
-def warp_plan(inv: np.ndarray, out_width: int, out_height: int, src_shape: tuple[int, int]) -> WarpPlan:
-    """Pull every output sample center back through inv and record its four
-    bilinear taps into a source of shape src_shape (height, width)."""
-    base = np.empty((out_height, out_width), dtype=np.int64)
-    du = np.empty((out_height, out_width))
-    dv = np.empty((out_height, out_width))
-    for band in _bands(out_height):
-        base[band], du[band], dv[band] = _band_taps(inv, band, out_width, src_shape)
-    return WarpPlan(tuple(src_shape), (out_height, out_width), base, du, dv)
-
-
 def warp_plane(
     plane: np.ndarray,
     inv: np.ndarray,
     out_width: int,
     out_height: int,
-    plan: WarpPlan | None = None,
     *,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bilinear inverse warp of one plane; sources outside it contribute 0.
 
-    `plan` must come from `warp_plan(inv, out_width, out_height, plane.shape)`,
-    so the planes of one frame share the coordinate work.  Without one, each
-    band's taps are computed right before its gather and dropped after it, so
-    no output-sized array but the result is made.  The taps are gathered from
-    `np.pad(plane, 2)`, so an outside tap adds `weight * +0.0 = +0.0`, the
-    weight being finite and >= 0: exactly the `0.0 * sample` of a tap masked
-    to weight 0.0, for a sample >= 0.  So for planes that are finite and >= 0
-    (every MeasurementFrame plane and every ideal plane of the generator) the
-    result is bit-identical to gathering each tap only where it lies inside
-    the source: the taps are summed in the same order with the same weight
-    expressions.
+    Each band's taps (`_band_taps`) are computed right before its gather and
+    dropped after it, so no output-sized array but the result is made.  The
+    taps are gathered from `np.pad(plane, 2)`, so an outside tap adds
+    `weight * +0.0 = +0.0`, the weight being finite and >= 0: exactly the
+    `0.0 * sample` of a tap masked to weight 0.0, for a sample >= 0.  So for
+    planes that are finite and >= 0 (every MeasurementFrame plane and every
+    ideal plane of the generator) the result is bit-identical to gathering
+    each tap only where it lies inside the source: the taps are summed in the
+    same order with the same weight expressions.
 
     The result is a new float64 array, or `out` when it is given: an array of
     shape (out_height, out_width), float32 for a MeasurementFrame plane, into
@@ -245,14 +214,9 @@ def warp_plane(
 
     The gather runs band by band, while a band's weights and taps are in
     cache.  Making the taps, forming the weights from `du`/`dv`, gathering and
-    summing are all elementwise, so neither banding nor the plan changes an
-    output bit.
+    summing are all elementwise, so banding changes no output bit.
     """
     out_shape = (out_height, out_width)
-    if plan is not None and (plan.src_shape != plane.shape or plan.out_shape != out_shape):
-        raise GeometryError(
-            f"warp plan maps {plan.src_shape} onto {plan.out_shape}; got a {plane.shape} plane onto {out_shape}"
-        )
     if out is not None and out.shape != out_shape:
         raise GeometryError(f"warp output array has shape {out.shape}, expected {out_shape}")
     # A float32 sample times a float64 weight equals its float64 copy times it.
@@ -265,10 +229,7 @@ def warp_plane(
     weight_buf = np.empty((min(_BAND_ROWS, out_height), out_width))
     sum_buf = None if out is None else np.empty_like(weight_buf)
     for band in _bands(out_height):
-        if plan is None:
-            base, du, dv = _band_taps(inv, band, out_width, plane.shape)
-        else:
-            base, du, dv = plan.base[band], plan.du[band], plan.dv[band]
+        base, du, dv = _band_taps(inv, band, out_width, plane.shape)
         rows = band.stop - band.start
         acc = result[band] if out is None else sum_buf[:rows]
         weight = weight_buf[:rows]
@@ -291,10 +252,10 @@ def warp_frame(frame: MeasurementFrame, h: Homography, out_width: int, out_heigh
 
     Each output sample center is pulled back through h^-1; sources outside the
     input frame contribute 0.  Every plane of frame.planes is warped with the
-    same mapping, each in its own plan-free warp_plane call that makes the
-    taps band by band, into a float32 array.  A chroma plane is then clipped
-    to [0, 1] in float32, which equals clipping its float64 warp before the
-    cast: every warped sample is >= +0.0 (a sum of non-negative weights times
+    same mapping, each in its own warp_plane call that makes the taps band by
+    band, into a float32 array.  A chroma plane is then clipped to [0, 1] in
+    float32, which equals clipping its float64 warp before the cast: every
+    warped sample is >= +0.0 (a sum of non-negative weights times
     non-negative samples), rounding to float32 is monotone, and 0 and 1 are
     exact.  So the rectified frame, 4 bytes per output sample and plane, is
     the only output-sized array made, besides band temporaries and a

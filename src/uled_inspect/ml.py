@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -199,10 +200,10 @@ def _lloyd(columns: np.ndarray, k: int, restart_seed: int):
 def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: int = 1) -> KMeansModel:
     """Best-of-n_init Lloyd clustering; deterministic for a given (Y, config).
 
-    Restarts may run on a thread pool.  Their results are taken in restart
-    order as they arrive, and only the best so far is kept: a restart wins
-    only with a strictly lower inertia, so ties go to the lowest restart index
-    and the result is identical to a sequential run.
+    Restarts may run on a thread pool, in batches of `threads`.  Their
+    results are taken in restart order, and only the best so far is kept: a
+    restart wins only with a strictly lower inertia, so ties go to the lowest
+    restart index and the result is identical to a sequential run.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[1] < 1:
@@ -218,10 +219,13 @@ def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: in
     def run(restart_seed: int):
         return _lloyd(columns, config.k, restart_seed)
 
-    # min keeps the first of equal minima and holds one item at a time.
+    # min keeps the first of equal minima and holds one item at a time.  The
+    # pool gets the restarts `threads` at a time, the next batch only once
+    # every result of the last one is taken, so no results pile up.
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            centroids, labels, inertia = min(pool.map(run, seeds), key=itemgetter(2))
+            batches = (pool.map(run, seeds[i : i + threads]) for i in range(0, len(seeds), threads))
+            centroids, labels, inertia = min(chain.from_iterable(batches), key=itemgetter(2))
     else:
         centroids, labels, inertia = min(map(run, seeds), key=itemgetter(2))
     centroids.setflags(write=False)

@@ -33,7 +33,7 @@ import numpy as np
 from . import geometry
 from .errors import ConfigError
 from .io import DefectMap, MeasurementFrame
-from .rng import SplitMix64, mix
+from .rng import GOLDEN, SplitMix64, mix
 
 LES_MARGIN_PX = 12
 
@@ -179,6 +179,11 @@ def _coverage_matrix(n_cells: int, pitch: float, cell: float, gap: float, n_samp
     return np.clip(np.minimum(a + cell, idx + 1) - np.maximum(a, idx), 0.0, 1.0)
 
 
+# Samples per noise chunk, even so that every chunk starts on a Box-Muller
+# pair; a chunk's draws are a few small arrays, not an output-sized one.
+_NOISE_CHUNK = 1 << 16
+
+
 def generate(config: SynthConfig) -> tuple[MeasurementFrame, DefectMap, list[tuple[float, float]]]:
     """Render a frame, its ground-truth defect map, and the distorted LES corners.
 
@@ -221,31 +226,38 @@ def generate(config: SynthConfig) -> tuple[MeasurementFrame, DefectMap, list[tup
 
     # Each ideal plane is built just before its warp and dropped after it, and
     # each chroma plane is float32 before the next is built, so at most one
-    # ideal and two output-sized float64 planes are alive besides the plan.
+    # ideal and two output-sized float64 planes are alive.  Each warp makes its
+    # taps band by band.
     inv = h_final.inverse().matrix
-    plan = geometry.warp_plan(inv, out_width, out_height, (height0, width0))
     # Outside the warped ideal raster the chroma blend must stay at the mean,
     # not the warp's zero fill.
-    support = geometry.warp_plane(np.ones((height0, width0)), inv, out_width, out_height, plan)
+    support = geometry.warp_plane(np.ones((height0, width0)), inv, out_width, out_height)
     chroma = []
     for stream, mean in ((_STREAM_CHROMA_X, config.chroma_mean_x), (_STREAM_CHROMA_Y, config.chroma_mean_y)):
         # The cells' draws, blended with the mean outside them; the LES-sized
         # coverage is rebuilt per plane rather than held.
         ideal = cov_y.T @ np.clip(_cell_draws(config, stream, mean, config.chroma_sigma), 0.0, 1.0) @ cov_x
         ideal += (1.0 - np.outer(cov_y.sum(axis=0), cov_x.sum(axis=0))) * mean
-        plane = geometry.warp_plane(ideal, inv, out_width, out_height, plan)
+        plane = geometry.warp_plane(ideal, inv, out_width, out_height)
         del ideal
         plane += (1.0 - support) * mean
         chroma.append(np.clip(plane, 0.0, 1.0, out=plane).astype(np.float32))
         del plane
     del support
-    lum = geometry.warp_plane(cov_y.T @ effective @ cov_x, inv, out_width, out_height, plan)
-    del plan  # free the plan before the noise draw
+    lum = geometry.warp_plane(cov_y.T @ effective @ cov_x, inv, out_width, out_height)
 
     if config.noise_sigma > 0.0:
-        noise = SplitMix64(mix(config.seed, _STREAM_NOISE)).normal_batch(out_width * out_height)
-        lum = lum + config.noise_sigma * noise.reshape(out_height, out_width)
-    lum = np.maximum(lum, 0.0)
+        # Added a chunk at a time: output start + k of the noise stream is
+        # output k of the stream seeded `noise_seed + start * GOLDEN`, and an
+        # even start keeps the pairs, so each sample gets the normal one whole
+        # batch gives it.
+        noise_seed = mix(config.seed, _STREAM_NOISE)
+        flat = lum.reshape(-1)
+        for start in range(0, flat.size, _NOISE_CHUNK):
+            z = SplitMix64(noise_seed + start * GOLDEN).normal_batch(min(_NOISE_CHUNK, flat.size - start))
+            z *= config.noise_sigma
+            flat[start : start + z.size] += z
+    np.maximum(lum, 0.0, out=lum)
 
     frame = MeasurementFrame(out_width, out_height, lum.astype(np.float32), *chroma)
     defects = DefectMap(config.grid_rows, config.grid_cols, mask)

@@ -227,9 +227,10 @@ def test_warp_chroma_planes_follow_luminance():
 
 
 def masked_warp_oracle(plane, inv, out_width, out_height):
-    """The per-tap masked bilinear warp the sampling plan replaced: the
-    coordinates are rebuilt for every plane and each tap is gathered only where
-    it falls inside the source."""
+    """The per-tap masked bilinear warp, the reference warp_plane is checked
+    against: the coordinates of the whole output are built at once, with no
+    pad and no bands, and each tap is gathered only where it falls inside the
+    source."""
     src = plane.astype(np.float64)
     xs = np.arange(out_width) + 0.5
     ys = np.arange(out_height) + 0.5
@@ -275,9 +276,8 @@ def _rotation_perspective_inverse():
     return _rotation_perspective().inverse().matrix
 
 
-# Output heights that end in a short band of warp_plan and warp_plane: one
-# row, one row past the first band, and a height that is no multiple of the
-# band height.
+# Output heights that end in a short band of warp_plane: one row, one row
+# past the first band, and a height that is no multiple of the band height.
 RAGGED_HEIGHTS = {
     "one_row": 1,
     "band_plus_one": geometry._BAND_ROWS + 1,
@@ -316,22 +316,20 @@ def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype):
         inv = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1 / 32.5, 0.0, 1.0]])
         out_height = geometry._BAND_ROWS + 1
     expected = masked_warp_oracle(plane, inv, out_width, out_height)
-    plan = geometry.warp_plan(inv, out_width, out_height, shape)
     if case != "identity":
         # Some samples read border taps of the 2-sample zero pad and some do not.
         h_src, w_src = shape
-        row, col = np.divmod(plan.base, w_src + 4)
+        bands = geometry._bands(out_height)
+        base = np.concatenate([geometry._band_taps(inv, band, out_width, shape)[0] for band in bands])
+        row, col = np.divmod(base, w_src + 4)
         reads_pad = (row < 2) | (row > h_src) | (col < 2) | (col > w_src)
         assert reads_pad.any() and not reads_pad.all()
         if case == "past_the_pad":
             assert np.mean((row == 0) | (col == 0)) > 0.5
-    for out in (
-        geometry.warp_plane(plane, inv, out_width, out_height, plan),
-        geometry.warp_plane(plane, inv, out_width, out_height),
-    ):
-        assert out.dtype == np.float64 and out.shape == (out_height, out_width)
-        assert out.tobytes() == expected.tobytes()
-        assert not np.signbit(out).any()
+    out = geometry.warp_plane(plane, inv, out_width, out_height)
+    assert out.dtype == np.float64 and out.shape == (out_height, out_width)
+    assert out.tobytes() == expected.tobytes()
+    assert not np.signbit(out).any()
 
 
 def warp_frame_case(case="horizon"):
@@ -350,14 +348,13 @@ def warp_frame_case(case="horizon"):
 
 
 def test_luminance_only_warp_frame_equals_the_planned_warp():
-    # warp_frame makes a one-plane frame's taps band by band, with no plan;
-    # a ragged last band and a horizon column must still give the planned
-    # warp's bits.
+    # warp_frame makes a one-plane frame's taps band by band; a ragged last
+    # band and a horizon column must still give the bits of the masked warp,
+    # cast to float32.
     rng = np.random.default_rng(22)
     frame = make_frame(rng.uniform(0, 80, size=(40, 50)))
     h, inv, out_width, out_height = warp_frame_case()
-    plan = geometry.warp_plan(inv, out_width, out_height, frame.luminance.shape)
-    expected = geometry.warp_plane(frame.luminance, inv, out_width, out_height, plan).astype(np.float32)
+    expected = masked_warp_oracle(frame.luminance, inv, out_width, out_height).astype(np.float32)
     out = warp_frame(frame, h, out_width, out_height)
     assert not out.has_chroma
     assert out.luminance.tobytes() == expected.tobytes()
@@ -365,16 +362,15 @@ def test_luminance_only_warp_frame_equals_the_planned_warp():
 
 @pytest.mark.parametrize("case", ["horizon", "rotation_perspective"])
 def test_three_plane_warp_frame_equals_the_planned_warp(case):
-    # Each plane is warped with no plan straight into float32 and a chroma
-    # plane clipped there; that must give the bits of the planned float64
+    # Each plane is warped band by band straight into float32 and a chroma
+    # plane clipped there; that must give the bits of the masked float64
     # warp, clipped to [0, 1] and then cast.  Under the rotation, a chroma
     # plane of ones has warped samples that round above 1 in float64.
     rng = np.random.default_rng(23)
     shape = (40, 50)
     frame = make_frame(rng.uniform(0, 80, size=shape), np.ones(shape), rng.uniform(0.0, 1.0, size=shape))
     h, inv, out_width, out_height = warp_frame_case(case)
-    plan = geometry.warp_plan(inv, out_width, out_height, shape)
-    expected = [geometry.warp_plane(plane, inv, out_width, out_height, plan) for plane in frame.planes]
+    expected = [masked_warp_oracle(plane, inv, out_width, out_height) for plane in frame.planes]
     assert (expected[1] > 1.0).any() == (case == "rotation_perspective")
     for plane in expected[1:]:
         np.clip(plane, 0.0, 1.0, out=plane)
@@ -397,15 +393,6 @@ def test_warp_plane_writes_into_out():
     for shape in ((72, 64), (64, 71), (64 * 72,)):
         with pytest.raises(GeometryError, match="warp output array"):
             geometry.warp_plane(plane, inv, 72, 64, out=np.empty(shape, dtype=np.float32))
-
-
-def test_warp_plan_of_another_shape_is_rejected():
-    inv = np.eye(3)
-    plan = geometry.warp_plan(inv, 20, 10, (10, 20))
-    with pytest.raises(GeometryError, match="warp plan"):
-        geometry.warp_plane(np.ones((10, 21)), inv, 20, 10, plan)
-    with pytest.raises(GeometryError, match="warp plan"):
-        geometry.warp_plane(np.ones((10, 20)), inv, 20, 11, plan)
 
 
 def test_detect_corners_undistorted_within_2px():

@@ -4,10 +4,11 @@ per output sample.
 Each bound is the sum of the arrays the code keeps alive at its peak, plus a
 slack for band temporaries and allocator rounding.  The tracemalloc peak
 counts only what is allocated during the call, so an input frame made before
-it is not counted.  warp_frame holds no warp plan and makes no float64 plane:
-it warps every plane band by band straight into a float32 array, so its
-bounds have no PLAN or FLOAT64_PLANE term.  The generator shares one plan
-among its four warps and is bounded with it.
+it is not counted.  Every warp makes its taps band by band, so no bound has a
+term for output-sized taps.  warp_frame also makes no float64 plane: it warps
+every plane straight into a float32 array, so its bounds have no
+FLOAT64_PLANE term.  The generator warps into float64 planes and draws its
+noise a chunk at a time.
 """
 
 import math
@@ -21,8 +22,6 @@ from uled_inspect.io import MeasurementFrame
 
 from conftest import acceptance_config
 
-# Bytes per output sample of the warp plan: int64 `base`, float64 `du` and `dv`.
-PLAN = 8 + 8 + 8
 # One warped plane in float64, as warp_plane returns it.
 FLOAT64_PLANE = 8
 FLOAT32_PLANE = 4
@@ -115,15 +114,16 @@ def test_generate_peak_is_bounded_per_output_sample(config):
     out_samples = frame.width * frame.height
     assert out_samples > 1_000_000
 
-    # At a chroma plane's warp: the plan, the warped support, that plane's
-    # float64 warp and the float32 first chroma plane per output sample; the
-    # float64 ideal plane and its zero-padded copy per LES sample, fewer than
-    # the output samples.
+    # At a chroma plane's warp: the warped support, that plane's float64 warp
+    # and the float32 first chroma plane per output sample; the float64 ideal
+    # plane and its zero-padded copy per LES sample, fewer than the output
+    # samples.
     les_samples = math.ceil(config.les_width) * math.ceil(config.les_height)
     assert les_samples < out_samples
-    bound = (PLAN + 2 * FLOAT64_PLANE + FLOAT32_PLANE + SLACK) * out_samples
+    bound = (2 * FLOAT64_PLANE + FLOAT32_PLANE + SLACK) * out_samples
     bound += 2 * FLOAT64_PLANE * les_samples
-    # The bound is about 67 bytes per output sample and the peak about 60;
-    # all ideal planes, their coverage, a five-array plan and every warped
-    # plane held at once read about 125.
+    # The bound is about 43 bytes per output sample and the peak about 37; a
+    # shared 24-byte plan read about 60, and all ideal planes, their
+    # coverage, a five-array plan and every warped plane held at once about
+    # 125.
     assert peak < bound, f"{peak / out_samples:.1f} bytes per output sample"

@@ -82,6 +82,19 @@ def test_normal_batch_matches_pairs():
         assert np.array_equal(SplitMix64(seed).normal_batch(1000), batch[:1000])
 
 
+def test_an_offset_seed_continues_the_normal_stream():
+    # Output start + k of stream(s) is output k of stream(s + start * GOLDEN),
+    # and an even start keeps the Box-Muller pairs, so synthgen draws its
+    # noise a chunk at a time from such seeds.  Every s + start * GOLDEN below
+    # wraps past 2**64 (2 * GOLDEN alone does).
+    for seed in SEEDS:
+        s = seed & MASK
+        for start, n in ((2, 7), (1000, 333)):
+            assert s + start * GOLDEN > MASK
+            got = SplitMix64(s + start * GOLDEN).normal_batch(n)
+            assert np.array_equal(got, SplitMix64(s).normal_batch(start + n)[start:]), (seed, start)
+
+
 def test_mix_definition():
     for seed in SEEDS:
         mixed = [mix(seed, r) for r in range(100)]

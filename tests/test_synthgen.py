@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,36 @@ def test_determinism_bit_identical():
     assert a[0] == b[0]
     assert a[1] == b[1]
     assert a[2] == b[2]
+
+
+# The sha256 of the planes of two noisy frames, recorded while the generator
+# still drew its noise in one batch and shared one warp plan among its four
+# warps, so a change to any bit of a frame fails here.  Each frame spans more
+# than two noise chunks; "odd" has an odd sample count.
+FRAME_DIGESTS = {
+    "odd": (
+        dict(grid_rows=15, grid_cols=18, lum_sigma=5.0, noise_sigma=0.8, defect_fraction=0.05,
+             rotation_deg=1.3, perspective_strength=0.01, seed=11),
+        (501, 425),
+        "f9b495e5b0ba0f371b97aee1b589d65efa248dfc11a3d84e66349d6e0ebd152f",
+    ),
+    "even": (
+        dict(grid_rows=15, grid_cols=19, cell_size_px=20.0, lum_sigma=6.0, noise_sigma=0.5,
+             defect_fraction=0.03, chroma_sigma=0.005, rotation_deg=-0.7, seed=12),
+        (466, 375),
+        "f6ba1178e593d65c23eddf5bb86c673a18c6827b52d6b36ec8ecd8ee812256da",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FRAME_DIGESTS))
+def test_noisy_frame_bytes_are_pinned(case):
+    overrides, size, digest = FRAME_DIGESTS[case]
+    frame, _, _ = generate(small_config(**overrides))
+    assert (frame.width, frame.height) == size
+    assert frame.width * frame.height > 2 * synthgen._NOISE_CHUNK
+    assert (frame.width * frame.height) % 2 == (case == "odd")
+    assert hashlib.sha256(b"".join(plane.tobytes() for plane in frame.planes)).hexdigest() == digest
 
 
 def test_seed_changes_output():
