@@ -108,8 +108,9 @@ def extract(frame: MeasurementFrame, grid: PixelGrid) -> CellTable:
     luminance, *chroma = frame.planes
     values = np.empty((len(rows), len(COLUMNS)))
     values[:, 4:] = NEUTRAL_CHROMA  # kept by a luminance-only frame
-    for h, w in np.unique(np.stack([heights, widths], axis=1), axis=0).tolist():
-        group = np.flatnonzero((heights == h) & (widths == w))
+    shape_key = heights * (widths.max() + 1) + widths  # sorts as (h, w) does
+    for first in np.unique(shape_key, return_index=True)[1].tolist():
+        group, h, w = np.flatnonzero(shape_key == shape_key[first]), heights[first], widths[first]
         ys = (j0[group, None] + np.arange(h))[:, :, None]
         xs = (i0[group, None] + np.arange(w))[:, None, :]
         lum = luminance[ys, xs].astype(np.float64)

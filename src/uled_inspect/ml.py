@@ -118,35 +118,38 @@ def _squared_distances(columns: np.ndarray, center: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _take_closer(labels: np.ndarray, point_d2: np.ndarray, d2: np.ndarray, j: int) -> None:
+    """Move to centre j the points strictly closer to it (d2) than to their own (point_d2)."""
+    labels[d2 < point_d2] = j
+    np.minimum(point_d2, d2, out=point_d2)
+
+
 def _assign(columns: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid of every point, the lowest index on ties, and its squared distance."""
     point_d2 = _squared_distances(columns, centroids[0])
     labels = np.zeros(len(point_d2), dtype=np.int64)
     for j in range(1, len(centroids)):
-        d2 = _squared_distances(columns, centroids[j])
-        labels[d2 < point_d2] = j
-        np.minimum(point_d2, d2, out=point_d2)
+        _take_closer(labels, point_d2, _squared_distances(columns, centroids[j]), j)
     return labels, point_d2
 
 
-def _kmeans_plusplus(columns: np.ndarray, k: int, uniforms: list[float]) -> np.ndarray:
-    """k-means++ centres, the i-th chosen by the i-th of the k uniforms."""
+def _kmeans_plusplus(columns: np.ndarray, k: int, uniforms: list[float]) -> tuple[np.ndarray, ...]:
+    """k-means++ centres, the i-th chosen by the i-th of the k uniforms, and their assignment:
+    the running minimum weighting the draws takes each centre with _assign's step, in order."""
     n = columns.shape[1]
     centers = np.empty((k, columns.shape[0]))
-    first = min(int(uniforms[0] * n), n - 1)
-    centers[0] = columns[:, first]
+    centers[0] = columns[:, min(int(uniforms[0] * n), n - 1)]
     d2 = _squared_distances(columns, centers[0])
-    for i in range(1, k):
+    labels = np.zeros(n, dtype=np.int64)
+    for i, u in enumerate(uniforms[1:], start=1):
         total = float(d2.sum())
-        u = uniforms[i]
         if total <= 0.0:
-            idx = min(int(u * n), n - 1)
+            idx = int(u * n)
         else:
             idx = int(np.searchsorted(np.cumsum(d2), u * total, side="right"))
-            idx = min(idx, n - 1)
-        centers[i] = columns[:, idx]
-        d2 = np.minimum(d2, _squared_distances(columns, centers[i]))
-    return centers
+        centers[i] = columns[:, min(idx, n - 1)]
+        _take_closer(labels, d2, _squared_distances(columns, centers[i]), i)
+    return centers, labels, d2
 
 
 def _lloyd(columns: np.ndarray, k: int, restart_seed: int):
@@ -168,17 +171,21 @@ def _lloyd(columns: np.ndarray, k: int, restart_seed: int):
       sum is divided by the count as mean does;
     - every distance is a number, never NaN, because kmeans_fit rejects
       non-finite input; with NaN, < and argmin would disagree.
+    A restart returns once an assignment repeats one with no empty cluster:
+    the centroids are its means, so the update would reproduce them bit for
+    bit, move them by 0 and re-assign the same partition.
     """
-    centroids = _kmeans_plusplus(columns, k, SplitMix64(restart_seed).uniform_batch(k).tolist())
-    previous_inertia = np.inf
+    centroids, labels, point_d2 = _kmeans_plusplus(columns, k, SplitMix64(restart_seed).uniform_batch(k).tolist())
+    previous_inertia, repeated = np.inf, False
     for _ in range(_MAX_ITER):
-        labels, point_d2 = _assign(columns, centroids)
         inertia = float(point_d2.sum())
         if inertia > previous_inertia * (1 + 1e-12) + 1e-12:
             raise MlError(f"Lloyd inertia increased from {previous_inertia!r} to {inertia!r}")
+        if repeated:
+            return centroids, labels, inertia
         previous_inertia = inertia
 
-        counts = np.bincount(labels, minlength=k)
+        counts = np.array([np.count_nonzero(labels == j) for j in range(k)])
         present = counts > 0
         sums = np.stack([np.bincount(labels, weights=column, minlength=k) for column in columns], axis=1)
         new_centroids = centroids.copy()
@@ -191,9 +198,11 @@ def _lloyd(columns: np.ndarray, k: int, restart_seed: int):
                 claimable[far] = -np.inf
         movement = float(np.sum((new_centroids - centroids) ** 2))
         centroids = new_centroids
+        new_labels, point_d2 = _assign(columns, centroids)
+        repeated = present.all() and np.array_equal(new_labels, labels)
+        labels = new_labels
         if movement < _TOL:
             break
-    labels, point_d2 = _assign(columns, centroids)
     return centroids, labels, float(point_d2.sum())
 
 
@@ -253,7 +262,7 @@ def label_clusters(model: KMeansModel, mean_l: np.ndarray) -> tuple[np.ndarray, 
     if len(model.labels) != len(mean_l):
         raise MlError(f"{len(model.labels)} labels for {len(mean_l)} cells")
     all_functional = np.zeros(len(mean_l), dtype=bool)
-    present = np.unique(model.labels)
+    present = np.flatnonzero(np.bincount(model.labels))
     if len(present) <= 1:
         return all_functional, True
     if len(present) == 2:

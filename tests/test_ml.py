@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -56,13 +57,30 @@ def reference_kmeans_plusplus(Y, k, restart_seed):
     return centers
 
 
+class ReferenceRun(NamedTuple):
+    centroids: np.ndarray
+    labels: np.ndarray
+    inertia: float
+    emptied: bool  # a cluster came out empty in some iteration
+    iterations: int  # centroid updates made, the last one included
+    stop: str  # how the loop ended, see reference_lloyd
+
+
 def reference_lloyd(Y, k, restart_seed, max_iter, tol):
     """The row-wise restart ml._lloyd replaced: the full n x k distance
-    matrix, argmin, and one boolean-mask mean per cluster.  Returns
-    (centroids, labels, inertia, whether a cluster ever came out empty)."""
+    matrix, argmin, and one boolean-mask mean per cluster, run to its
+    movement or iteration-cap exit and then assigned once more.
+
+    stop is "repeat" when the last assignment equals the one before and that
+    one left no cluster empty, which must give movement 0; "relabel" when
+    0 < movement < tol after the assignment changed; "tol" for any other
+    movement exit (the first iteration, or after a re-seed); "cap" when
+    max_iter updates ran without a movement exit."""
     centroids = reference_kmeans_plusplus(Y, k, restart_seed)
     emptied = False
-    for _ in range(max_iter):
+    stop = "cap"
+    previous_labels, previous_full = None, False
+    for iteration in range(max_iter):
         d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(len(Y)), labels]
@@ -82,11 +100,18 @@ def reference_lloyd(Y, k, restart_seed, max_iter, tol):
         movement = float(np.sum((new_centroids - centroids) ** 2))
         centroids = new_centroids
         if movement < tol:
+            relabelled = previous_labels is not None and not np.array_equal(labels, previous_labels)
+            if previous_full and not relabelled:
+                assert movement == 0.0
+                stop = "repeat"
+            else:
+                stop = "relabel" if relabelled and movement > 0.0 else "tol"
             break
+        previous_labels, previous_full = labels, not empties
     d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(len(Y)), labels].sum())
-    return centroids, labels, inertia, emptied
+    return ReferenceRun(centroids, labels, inertia, emptied, iteration + 1, stop)
 
 
 def scores_like_dense(n=21_904, outliers=0.03, seed=21):
@@ -307,34 +332,84 @@ def test_kmeans_peak_does_not_grow_with_restarts(threads):
 
 
 def lloyd_oracle_cases():
+    """name -> (Y, k, restarts, iteration cap, what one restart at least must
+    take: a reference stop, "emptied" or None)."""
     rng = np.random.default_rng(15)
     dense = scores_like_dense()
     six_d = rng.normal(size=(2_000, 6)) * rng.uniform(0.2, 30.0, 6) + rng.uniform(-50.0, 50.0, 6)
     # three distinct points: a fourth seed repeats one, so a cluster empties
     duplicates = np.repeat([[0.0, 0.0], [5.0, 5.0], [9.0, -1.0]], [50, 30, 20], axis=0)
+    # one small blob: labels still change when the centroids move < 1e-8
+    small_blob = rng.normal(size=(2_000, 2)) * 0.01
+    # six distinct points for seven clusters: every update re-seeds an empty
+    # cluster, and the re-seeds cycle through repeated partitions to the cap,
+    # so a restart that returned at a repeat after a re-seed would stop early
+    cycling = np.repeat(np.random.default_rng(1).normal(size=(6, 2)), [9, 9, 1, 1, 1, 1], axis=0)
     return {
-        "dense_k2": (dense, 2, 12, False),
-        "dense_k3": (dense, 3, 6, False),
-        "dense_k4": (dense, 4, 4, False),
-        "six_d_k3": (six_d, 3, 20, False),
-        "duplicates_k4": (duplicates, 4, 20, True),
-        "n_equals_k": (np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 1.0]]), 3, 20, False),
+        "dense_k2": (dense, 2, 12, 300, "repeat"),
+        "dense_k3": (dense, 3, 6, 300, None),
+        "dense_k4": (dense, 4, 4, 300, None),
+        "six_d_k3": (six_d, 3, 20, 300, None),
+        "duplicates_k4": (duplicates, 4, 20, 300, "emptied"),
+        "n_equals_k": (np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 1.0]]), 3, 20, 300, None),
+        "tol_after_relabel": (small_blob, 2, 12, 300, "relabel"),
+        "cap_1": (six_d, 3, 6, 1, "cap"),
+        "cap_2": (six_d, 3, 6, 2, "cap"),
+        "reseed_cycle": (cycling, 7, 6, 300, "cap"),
     }
 
 
 @pytest.mark.parametrize("case", list(lloyd_oracle_cases()))
-def test_lloyd_matches_row_wise_reference_bit_for_bit(case):
-    Y, k, restarts, must_empty = lloyd_oracle_cases()[case]
+def test_lloyd_matches_row_wise_reference_bit_for_bit(case, monkeypatch):
+    Y, k, restarts, max_iter, must_take = lloyd_oracle_cases()[case]
+    monkeypatch.setattr(ml, "_MAX_ITER", max_iter)
     columns = np.ascontiguousarray(Y.T)
-    emptied = False
+    taken = set()
     for r, seed in enumerate(reference_raw(8, restarts)):
         centroids, labels, inertia = ml._lloyd(columns, k, seed)
-        ref_centroids, ref_labels, ref_inertia, ref_emptied = reference_lloyd(Y, k, seed, 300, 1e-8)
-        assert centroids.tobytes() == ref_centroids.tobytes(), r
-        assert labels.tobytes() == ref_labels.tobytes(), r
-        assert inertia == ref_inertia, r
-        emptied |= ref_emptied
-    assert emptied or not must_empty
+        ref = reference_lloyd(Y, k, seed, max_iter, 1e-8)
+        assert centroids.tobytes() == ref.centroids.tobytes(), r
+        assert labels.tobytes() == ref.labels.tobytes(), r
+        assert inertia == ref.inertia, r
+        taken |= {ref.stop, "emptied"} if ref.emptied else {ref.stop}
+    assert must_take is None or must_take in taken, taken
+
+
+def test_seeding_assignment_is_assign_byte_for_byte():
+    # integer coordinates, each point twice: distances tie exactly, and
+    # two centres can coincide
+    lattice = np.stack(np.meshgrid(np.arange(5.0), np.arange(4.0)), axis=-1).reshape(-1, 2)
+    columns = np.ascontiguousarray(np.repeat(lattice, 2, axis=0).T)
+    for k in (2, 3, 5):
+        for seed in reference_raw(3, 20):
+            uniforms = reference_uniforms(seed, k)
+            centers, labels, point_d2 = ml._kmeans_plusplus(columns, k, uniforms)
+            assigned_labels, assigned_d2 = ml._assign(columns, centers)
+            assert labels.tobytes() == assigned_labels.tobytes()
+            assert point_d2.tobytes() == assigned_d2.tobytes()
+
+
+def test_lloyd_computes_each_assignment_once(monkeypatch):
+    # The seeding's distances are the first assignment, an update is followed
+    # by exactly one assignment, and a repeated partition ends the restart
+    # without a further update or assignment: k distance columns per update,
+    # plus k for the final assignment unless the restart ended on a repeat.
+    Y = scores_like_dense()
+    columns = np.ascontiguousarray(Y.T)
+    calls = []
+    squared_distances = ml._squared_distances
+
+    def counted(*args):
+        calls.append(None)
+        return squared_distances(*args)
+
+    monkeypatch.setattr(ml, "_squared_distances", counted)
+    for k in (2, 3):
+        for seed in reference_raw(8, 4):
+            calls.clear()
+            ml._lloyd(columns, k, seed)
+            ref = reference_lloyd(Y, k, seed, 300, 1e-8)
+            assert len(calls) == k * (ref.iterations + (ref.stop != "repeat")), (k, seed, ref.stop)
 
 
 def test_kmeans_deterministic_across_calls():
