@@ -284,11 +284,12 @@ def build_grid(x_edges, y_edges) -> PixelGrid:
 
 
 def cell_size(grid: PixelGrid) -> GridMetrics:
-    """Mean and population std of interior cell widths and heights."""
+    """Mean and population std of the widths of the columns and the heights
+    of the rows that hold an interior cell."""
     if not grid.interior.any():
         raise GridError("grid has no interior cells")
-    widths = np.diff(grid.x_edges)[1:-1]
-    heights = np.diff(grid.y_edges)[1:-1]
+    widths = np.diff(grid.x_edges)[grid.interior.any(axis=0)]
+    heights = np.diff(grid.y_edges)[grid.interior.any(axis=1)]
     return GridMetrics(
         mean_cell_width=float(widths.mean()),
         mean_cell_height=float(heights.mean()),

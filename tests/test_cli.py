@@ -63,13 +63,17 @@ def test_generate_unreadable_config_exits_1(tmp_path, capsys):
 
 def test_generate_bad_config_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
-    config.write_text("grid_rows = sixty\n")
-    code = main([
-        "generate", "--config", str(config),
-        "--out-frame", str(tmp_path / "f"), "--out-defects", str(tmp_path / "d"),
-    ])
-    assert code == 2
-    assert "integer" in capsys.readouterr().err
+    for text, reason in (
+        ("grid_rows = sixty\n", "integer"),
+        ("grid_rows = 4\ngrid_cols 4\n", "line 2: expected key=value, got 'grid_cols 4'"),
+    ):
+        config.write_text(text)
+        code = main([
+            "generate", "--config", str(config),
+            "--out-frame", str(tmp_path / "f"), "--out-defects", str(tmp_path / "d"),
+        ])
+        assert code == 2
+        assert reason in capsys.readouterr().err
 
 
 def test_generate_unknown_key_exits_2(tmp_path, capsys):
@@ -192,9 +196,14 @@ def test_analyze_defaults_match_paper_settings():
 
 
 def test_analyze_unreadable_frame_exits_3(tmp_path, capsys):
-    code = main(["analyze", "--frame", str(tmp_path / "nope.ulf"), "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert "read_frame" in capsys.readouterr().err
+    # A missing file, then one shorter than the frame header.
+    short = tmp_path / "short.ulf"
+    short.write_bytes(io.MAGIC)
+    for frame in (tmp_path / "nope.ulf", short):
+        code = main(["analyze", "--frame", str(frame), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "stage 'read_frame' failed" in err and str(frame) in err
 
 
 def test_analyze_explicit_corners(generated, tmp_path, capsys):
@@ -225,9 +234,9 @@ def test_analyze_auto_corners_flag(generated, tmp_path, capsys):
 def test_analyze_bad_corners_exits_2(generated, tmp_path, capsys):
     _, frame, _ = generated
     out = tmp_path / "out"
-    # too few numbers, none at all, a 1 px quad, a NaN coordinate: config
-    # errors, not stage failures
-    for corners in ("1,2,3", "", "10,10,11,10,11,11,10,11", "10,10,11,10,nan,11,10,11"):
+    # too few numbers, none at all, eight non-numbers, a 1 px quad, a NaN
+    # coordinate: config errors, not stage failures
+    for corners in ("1,2,3", "", "a,b,c,d,e,f,g,h", "10,10,11,10,11,11,10,11", "10,10,11,10,nan,11,10,11"):
         code = main(["analyze", "--frame", str(frame), "--corners", corners, "--out", str(out)])
         assert code == 2, corners
         assert "stage" not in capsys.readouterr().err

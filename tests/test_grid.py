@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uled_inspect import geometry, grid, io, pipeline, synthgen
+from uled_inspect import features, geometry, grid, io, pipeline, synthgen
 from uled_inspect.errors import GridError
 from uled_inspect.grid import (
     build_grid,
@@ -381,6 +381,25 @@ def test_cell_size_uniform_grid_std_zero():
     assert metrics.mean_cell_height == 26.0
     assert metrics.std_cell_width == 0.0
     assert metrics.std_cell_height == 0.0
+
+
+def test_cell_size_measures_the_columns_and_rows_of_the_interior_mask():
+    # A hand-built one-row grid whose every cell is interior has no one-cell
+    # border ring; its widths 20, 30, 20, 30, 20 and its one height 20 are
+    # measured.
+    x_edges, y_edges = np.array([0.0, 20.0, 50.0, 70.0, 100.0, 120.0]), np.array([0.0, 20.0])
+    g = grid.PixelGrid(x_edges, y_edges, np.ones((1, 5), dtype=bool))
+    metrics = cell_size(g)
+    assert metrics.mean_cell_width == np.mean([20.0, 30.0, 20.0, 30.0, 20.0])
+    assert metrics.std_cell_width == np.std([20.0, 30.0, 20.0, 30.0, 20.0])
+    assert (metrics.mean_cell_height, metrics.std_cell_height) == (20.0, 0.0)
+    # features.extract takes its cells from the same mask: all five.
+    assert len(features.extract(make_frame(np.ones((20, 120))), g)) == 5
+    # Only the columns that hold an interior cell count: widths 30 and 30.
+    interior = np.zeros((1, 5), dtype=bool)
+    interior[0, [1, 3]] = True
+    metrics = cell_size(grid.PixelGrid(x_edges, y_edges, interior))
+    assert (metrics.mean_cell_width, metrics.std_cell_width) == (30.0, 0.0)
 
 
 def test_cell_size_default_layout_recovers_pitch():

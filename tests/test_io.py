@@ -232,3 +232,29 @@ def test_defect_map_round_trip(tmp_path):
     assert io.read_defect_map(path) == defects
     # row-major ordering makes the file deterministic
     assert path.read_text() == "5,7\n0,1\n2,3\n4,6\n"
+
+
+@pytest.mark.parametrize("data, reason", [
+    (io.MAGIC + bytes(8), "file shorter than the 13-byte header"),
+    (io._HEADER.pack(io.MAGIC, 2, 2, 2) + bytes(32), "channel count 2 not in (1, 3)"),
+    (io._HEADER.pack(io.MAGIC, 0, 2, 1), "zero frame dimension 0x2"),
+])
+def test_read_frame_bad_header_names_the_path(tmp_path, data, reason):
+    path = tmp_path / "f.ulf"
+    path.write_bytes(data)
+    with pytest.raises(FrameFormatError) as exc:
+        io.read_frame(path)
+    assert str(exc.value) == f"{path}: {reason}"
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("", "empty defect map"),
+    ("a,b\n", "bad header line 'a,b'"),
+    ("3,3\n1;2\n", "bad cell line '1;2'"),
+])
+def test_read_defect_map_malformed_names_the_path(tmp_path, text, reason):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(FrameFormatError) as exc:
+        io.read_defect_map(path)
+    assert str(exc.value) == f"{path}: {reason}"

@@ -22,7 +22,7 @@ from uled_inspect.io import MeasurementFrame
 
 from conftest import acceptance_config
 
-# One warped plane in float64, as warp_plane returns it.
+# One warped plane in float64, as warp_plane returns it for a float64 plane.
 FLOAT64_PLANE = 8
 FLOAT32_PLANE = 4
 # Band temporaries (a few arrays of _BAND_ROWS rows), the frame checks' masks

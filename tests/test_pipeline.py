@@ -616,3 +616,59 @@ def test_overlay_svg_matches_the_per_cell_oracle_on_an_uneven_grid():
     assert defective.any()
     pixel_grid = grid.PixelGrid(x_edges, y_edges, interior)
     assert pipeline._overlay_svg(pixel_grid, cells, defective) == overlay_svg_oracle(pixel_grid, cells, defective)
+
+
+# Frames of the luminance-scaling test: a 20x20-cell colour frame at the
+# acceptance pitch, rotated and with perspective, and a luminance-only frame
+# at the 9.5 px dense pitch.
+SCALING_FRAMES = {
+    "colour_23px": dict(grid_rows=20, grid_cols=20, cell_size_px=20.0, gap_px=3.0,
+                        rotation_deg=1.5, perspective_strength=0.015, seed=17),
+    "luminance_9.5px": dict(grid_rows=20, grid_cols=20, cell_size_px=7.0, gap_px=2.5, seed=18),
+}
+
+
+@pytest.mark.parametrize("case", SCALING_FRAMES)
+def test_scaling_luminance_scales_the_descriptors_and_keeps_the_classification(tmp_path, case):
+    # Luminance is in cd/m^2, so a camera calibrated to other units gives the
+    # same frame times c.  Corners come from a threshold relative to the peak,
+    # the grid from projections of the rectified frame, and the classifier
+    # sees standardized descriptors, so the grid, the defect set and the
+    # flags stay; mean_l, max_l, min_l, std_l and the LES statistics scale.
+    # A power of two commutes with every rounding, so for c = 2 and 0.5 all
+    # of it holds bit for bit.
+    config = synthgen.SynthConfig(lum_mean=100, lum_sigma=6, defect_fraction=0.05, defect_residual=0.02,
+                                  noise_sigma=0.4, chroma_sigma=0.005, **SCALING_FRAMES[case])
+    frame, defects, _ = synthgen.generate(config)
+    if case.startswith("luminance"):
+        frame = io.MeasurementFrame(frame.width, frame.height, frame.luminance)
+    defects_path = tmp_path / "defects.csv"
+    io.write_defect_map(defects, defects_path)
+
+    def analyze(c):
+        scaled = io.MeasurementFrame(frame.width, frame.height, frame.luminance * np.float32(c),
+                                     frame.chroma_x, frame.chroma_y)
+        frame_path = tmp_path / f"frame_{c}.ulf"
+        io.write_frame(scaled, frame_path)
+        return run(PipelineConfig(str(frame_path), str(tmp_path / f"out_{c}"), str(defects_path),
+                                  kmeans=ml.KMeansConfig(n_init=20, seed=8)))
+
+    base = analyze(1)
+    assert 0 < base.defective.sum() < len(base.defective)
+    base_les = base.report["les_stats"]
+    for c in (2.0, 0.5):
+        scaled = analyze(c)
+        for axis in ("x_edges", "y_edges"):
+            assert getattr(scaled.pixel_grid, axis).tobytes() == getattr(base.pixel_grid, axis).tobytes()
+        assert np.array_equal(scaled.defective, base.defective)
+        assert scaled.report["flags"] == base.report["flags"]
+        assert scaled.cells.values[:, :4].tobytes() == (c * base.cells.values[:, :4]).tobytes()
+        assert scaled.cells.values[:, 4:].tobytes() == base.cells.values[:, 4:].tobytes()
+        for key in ("raw_mean", "denoised_mean", "raw_sem", "denoised_sem"):
+            assert scaled.report["les_stats"][key] == c * base_les[key], key
+    scaled = analyze(3.0)
+    assert np.array_equal(scaled.cells.rows, base.cells.rows) and np.array_equal(scaled.cells.cols, base.cells.cols)
+    assert np.array_equal(scaled.defective, base.defective)
+    assert scaled.report["flags"] == base.report["flags"]
+    np.testing.assert_allclose(scaled.cells.values[:, :4], 3.0 * base.cells.values[:, :4], rtol=1e-6, atol=0)
+    np.testing.assert_allclose(scaled.cells.values[:, 4:], base.cells.values[:, 4:], rtol=1e-6, atol=0)
