@@ -69,6 +69,9 @@ def _cmd_generate(args) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: config {args.config} is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         config = parse_synth_config(text)
         if args.seed is not None:

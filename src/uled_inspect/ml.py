@@ -4,10 +4,10 @@ The six per-cell features mix units (cd/m^2 luminance around 10^2..10^6,
 chromaticity around 10^-1), so columns are standardized before the PCA;
 without that step the principal axes would be luminance-only.  The PCA is
 numpy's symmetric eigen-decomposition (np.linalg.eigh) of the 6x6 population
-covariance, and the classifier is Lloyd's algorithm with k-means++ seeding and
-multiple restarts.
+covariance, and the classifier is two-cluster Lloyd's algorithm (functional
+and defective cells) with k-means++ seeding and multiple restarts.
 
-Restart r of a fit draws its k k-means++ uniforms as one batch from the
+Restart r of a fit draws its two k-means++ uniforms as one batch from the
 SplitMix64 stream seeded with rng.mix(seed, r); the n_init restart seeds are
 themselves one batch, outputs 0..n_init-1 of stream(seed); the tests replay
 both from the scalar reference stream in tests/test_rng.py.  Restarts are
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 
@@ -28,9 +29,10 @@ from .errors import MlError
 from .rng import SplitMix64
 
 # Lloyd stops after _MAX_ITER iterations or once the centroids move less than
-# _TOL in summed squared distance.
+# _TOL in summed squared distance.  Its _CLUSTERS are functional and defective cells.
 _MAX_ITER = 300
 _TOL = 1e-8
+_CLUSTERS = 2
 
 
 @dataclass(frozen=True)
@@ -43,12 +45,11 @@ class PcaModel:
 
 @dataclass(frozen=True)
 class KMeansConfig:
-    k: int = 2
     n_init: int = 100
     seed: int = 8
 
     def __post_init__(self):
-        if self.k < 1 or self.n_init < 1:
+        if self.n_init < 1:
             raise MlError(f"invalid k-means config {self}")
 
 
@@ -133,11 +134,11 @@ def _assign(columns: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
     return labels, point_d2
 
 
-def _kmeans_plusplus(columns: np.ndarray, k: int, uniforms: list[float]) -> tuple[np.ndarray, ...]:
-    """k-means++ centres, the i-th chosen by the i-th of the k uniforms, and their assignment:
+def _kmeans_plusplus(columns: np.ndarray, uniforms: list[float]) -> tuple[np.ndarray, ...]:
+    """k-means++ centres, one per uniform, the i-th chosen by the i-th, and their assignment:
     the running minimum weighting the draws takes each centre with _assign's step, in order."""
     n = columns.shape[1]
-    centers = np.empty((k, columns.shape[0]))
+    centers = np.empty((len(uniforms), columns.shape[0]))
     centers[0] = columns[:, min(int(uniforms[0] * n), n - 1)]
     d2 = _squared_distances(columns, centers[0])
     labels = np.zeros(n, dtype=np.int64)
@@ -152,10 +153,10 @@ def _kmeans_plusplus(columns: np.ndarray, k: int, uniforms: list[float]) -> tupl
     return centers, labels, d2
 
 
-def _lloyd(columns: np.ndarray, k: int, restart_seed: int):
-    """One k-means++ seeded Lloyd restart on the (d, n) C-contiguous columns of Y.
+def _lloyd(columns: np.ndarray, restart_seed: int):
+    """One k-means++ seeded two-cluster Lloyd restart on the (d, n) C-contiguous columns of Y.
 
-    The result is bit-identical to the row-wise form (an n x k distance matrix
+    The result is bit-identical to the row-wise form (an n x 2 distance matrix
     summed over axis 2, argmin, and Y[labels == j].mean(axis=0); kept in
     tests/test_ml.py as the oracle) for every 2 <= d <= 7:
     - the squared distance to a centre is summed over the columns in order,
@@ -173,9 +174,12 @@ def _lloyd(columns: np.ndarray, k: int, restart_seed: int):
       non-finite input; with NaN, < and argmin would disagree.
     A restart returns once an assignment repeats one with no empty cluster:
     the centroids are its means, so the update would reproduce them bit for
-    bit, move them by 0 and re-assign the same partition.
+    bit, move them by 0 and re-assign the same partition.  Two distinct
+    means keep both clusters non-empty (over the points of cluster j,
+    sum(d_j - d_other) = -n_j * |c_j - c_other|^2 < 0), so a cluster empties
+    only when the centres coincide; its centre moves to the farthest point.
     """
-    centroids, labels, point_d2 = _kmeans_plusplus(columns, k, SplitMix64(restart_seed).uniform_batch(k).tolist())
+    centroids, labels, point_d2 = _kmeans_plusplus(columns, SplitMix64(restart_seed).uniform_batch(_CLUSTERS).tolist())
     previous_inertia, repeated = np.inf, False
     for _ in range(_MAX_ITER):
         inertia = float(point_d2.sum())
@@ -185,17 +189,13 @@ def _lloyd(columns: np.ndarray, k: int, restart_seed: int):
             return centroids, labels, inertia
         previous_inertia = inertia
 
-        counts = np.array([np.count_nonzero(labels == j) for j in range(k)])
+        counts = np.array([np.count_nonzero(labels == j) for j in range(_CLUSTERS)])
         present = counts > 0
-        sums = np.stack([np.bincount(labels, weights=column, minlength=k) for column in columns], axis=1)
+        sums = np.stack([np.bincount(labels, weights=column, minlength=_CLUSTERS) for column in columns], axis=1)
         new_centroids = centroids.copy()
         new_centroids[present] = sums[present] / counts[present, None]
         if not present.all():
-            claimable = point_d2.copy()
-            for j in np.flatnonzero(~present):
-                far = int(np.argmax(claimable))
-                new_centroids[j] = columns[:, far]
-                claimable[far] = -np.inf
+            new_centroids[~present] = columns[:, np.argmax(point_d2)]
         movement = float(np.sum((new_centroids - centroids) ** 2))
         centroids = new_centroids
         new_labels, point_d2 = _assign(columns, centroids)
@@ -219,14 +219,13 @@ def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: in
         raise MlError(f"k-means needs a 2D matrix with at least one column, got shape {Y.shape}")
     if not np.all(np.isfinite(Y)):
         raise MlError("k-means input contains non-finite values")
-    if Y.shape[0] < config.k:
-        raise MlError(f"k-means needs at least k={config.k} points, got {Y.shape[0]}")
+    if Y.shape[0] < _CLUSTERS:
+        raise MlError(f"k-means needs at least {_CLUSTERS} points, got {Y.shape[0]}")
 
     seeds = SplitMix64(config.seed).raw_batch(config.n_init).tolist()
     columns = np.ascontiguousarray(Y.T)
 
-    def run(restart_seed: int):
-        return _lloyd(columns, config.k, restart_seed)
+    run = partial(_lloyd, columns)
 
     # min keeps the first of equal minima and holds one item at a time.  The
     # pool gets the restarts `threads` at a time, the next batch only once
@@ -246,10 +245,10 @@ SEPARATION_FACTOR = 4.0
 
 
 def label_clusters(model: KMeansModel, mean_l: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Mark the cells of the dimmer cluster defective, by average cell brightness.
+    """Mark the cells of the dimmer of the two clusters defective, by average cell brightness.
 
-    The cluster with the higher average of mean_l is functional.  The split is
-    degenerate when all points share one cluster or, for k=2, when the
+    The cluster with the higher average of mean_l is functional, cluster 0 on
+    a tie.  The split is degenerate when one cluster holds every cell or the
     centroid distance is below SEPARATION_FACTOR times the RMS within-cluster
     distance: k-means always cuts the cloud in two, and on a defect-free
     surface that cut runs through the middle of the functional population.  A
@@ -259,17 +258,13 @@ def label_clusters(model: KMeansModel, mean_l: np.ndarray) -> tuple[np.ndarray, 
         (defective mask per cell, degenerate_flag)
     """
     mean_l = np.asarray(mean_l, dtype=np.float64)
+    if len(model.centroids) != _CLUSTERS:
+        raise MlError(f"{len(model.centroids)} centroids, not {_CLUSTERS}")
     if len(model.labels) != len(mean_l):
         raise MlError(f"{len(model.labels)} labels for {len(mean_l)} cells")
-    all_functional = np.zeros(len(mean_l), dtype=bool)
-    present = np.flatnonzero(np.bincount(model.labels))
-    if len(present) <= 1:
-        return all_functional, True
-    if len(present) == 2:
-        distance = float(np.linalg.norm(model.centroids[present[0]] - model.centroids[present[1]]))
-        spread = float(np.sqrt(model.inertia / len(model.labels)))
-        if distance < SEPARATION_FACTOR * spread:
-            return all_functional, True
-    averages = {int(j): float(mean_l[model.labels == j].mean()) for j in present}
-    functional = max(sorted(averages), key=lambda j: averages[j])
+    in_1 = model.labels == 1
+    distance = float(np.linalg.norm(model.centroids[0] - model.centroids[1]))
+    if in_1.all() or not in_1.any() or distance < SEPARATION_FACTOR * np.sqrt(model.inertia / len(in_1)):
+        return np.zeros(len(mean_l), dtype=bool), True
+    functional = int(mean_l[in_1].mean() > mean_l[~in_1].mean())
     return model.labels != functional, False

@@ -85,6 +85,21 @@ def test_generate_unknown_key_exits_2(tmp_path, capsys):
     ]) == 2
 
 
+def test_generate_non_utf8_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(b"# caf\xe9\ngrid_rows = 4\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main([
+        "generate", "--config", str(config),
+        "--out-frame", str(out / "f.ulf"), "--out-defects", str(out / "d.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(config) in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("line", [
     "lum_mean = nan",
     "noise_sigma = inf",

@@ -260,7 +260,7 @@ def test_pca_transform_dimension_mismatch():
 
 def test_kmeans_two_separated_pairs():
     Y = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
-    model = kmeans_fit(Y, KMeansConfig(k=2, n_init=10, seed=8))
+    model = kmeans_fit(Y, KMeansConfig(n_init=10, seed=8))
     centroids = sorted(model.centroids.tolist())
     assert centroids == [[0.0, 0.5], [10.0, 0.5]]
     assert model.inertia == 1.0
@@ -268,15 +268,15 @@ def test_kmeans_two_separated_pairs():
 
 
 def test_kmeans_n_equals_k():
-    Y = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 1.0]])
-    model = kmeans_fit(Y, KMeansConfig(k=3, n_init=5, seed=1))
+    Y = np.array([[0.0, 0.0], [5.0, 5.0]])
+    model = kmeans_fit(Y, KMeansConfig(n_init=5, seed=1))
     assert model.inertia == 0.0
-    assert sorted(model.labels.tolist()) == [0, 1, 2]
+    assert sorted(model.labels.tolist()) == [0, 1]
 
 
 def test_kmeans_identical_points():
     Y = np.ones((6, 2))
-    model = kmeans_fit(Y, KMeansConfig(k=2, n_init=3, seed=2))
+    model = kmeans_fit(Y, KMeansConfig(n_init=3, seed=2))
     assert model.inertia == 0.0
 
 
@@ -285,7 +285,7 @@ def test_kmeans_matches_exhaustive_oracle():
     for _ in range(30):
         n = int(rng.integers(2, 13))
         Y = rng.normal(size=(n, 2)) * rng.uniform(0.5, 2.0)
-        model = kmeans_fit(Y, KMeansConfig(k=2, n_init=100, seed=8))
+        model = kmeans_fit(Y, KMeansConfig(n_init=100, seed=8))
         best, best_mask = exhaustive_two_partition_minimum(Y)
         same_partition = (
             np.array_equal(model.labels.astype(bool), best_mask)
@@ -332,42 +332,34 @@ def test_kmeans_peak_does_not_grow_with_restarts(threads):
 
 
 def lloyd_oracle_cases():
-    """name -> (Y, k, restarts, iteration cap, what one restart at least must
-    take: a reference stop, "emptied" or None)."""
+    """name -> (Y, restarts, iteration cap, what one restart at least must
+    take: a reference stop, "emptied" or None), all at k = 2."""
     rng = np.random.default_rng(15)
     dense = scores_like_dense()
     six_d = rng.normal(size=(2_000, 6)) * rng.uniform(0.2, 30.0, 6) + rng.uniform(-50.0, 50.0, 6)
-    # three distinct points: a fourth seed repeats one, so a cluster empties
-    duplicates = np.repeat([[0.0, 0.0], [5.0, 5.0], [9.0, -1.0]], [50, 30, 20], axis=0)
+    # one position: both seeds take it, so the second cluster empties
+    identical = np.repeat([[0.1, -0.7]], 30, axis=0)
     # one small blob: labels still change when the centroids move < 1e-8
     small_blob = rng.normal(size=(2_000, 2)) * 0.01
-    # six distinct points for seven clusters: every update re-seeds an empty
-    # cluster, and the re-seeds cycle through repeated partitions to the cap,
-    # so a restart that returned at a repeat after a re-seed would stop early
-    cycling = np.repeat(np.random.default_rng(1).normal(size=(6, 2)), [9, 9, 1, 1, 1, 1], axis=0)
     return {
-        "dense_k2": (dense, 2, 12, 300, "repeat"),
-        "dense_k3": (dense, 3, 6, 300, None),
-        "dense_k4": (dense, 4, 4, 300, None),
-        "six_d_k3": (six_d, 3, 20, 300, None),
-        "duplicates_k4": (duplicates, 4, 20, 300, "emptied"),
-        "n_equals_k": (np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 1.0]]), 3, 20, 300, None),
-        "tol_after_relabel": (small_blob, 2, 12, 300, "relabel"),
-        "cap_1": (six_d, 3, 6, 1, "cap"),
-        "cap_2": (six_d, 3, 6, 2, "cap"),
-        "reseed_cycle": (cycling, 7, 6, 300, "cap"),
+        "dense_k2": (dense, 12, 300, "repeat"),
+        "identical": (identical, 6, 300, "emptied"),
+        "n_equals_k": (np.array([[0.0, 0.0], [5.0, 5.0]]), 20, 300, None),
+        "tol_after_relabel": (small_blob, 12, 300, "relabel"),
+        "cap_1": (six_d, 6, 1, "cap"),
+        "cap_2": (six_d, 6, 2, "cap"),
     }
 
 
 @pytest.mark.parametrize("case", list(lloyd_oracle_cases()))
 def test_lloyd_matches_row_wise_reference_bit_for_bit(case, monkeypatch):
-    Y, k, restarts, max_iter, must_take = lloyd_oracle_cases()[case]
+    Y, restarts, max_iter, must_take = lloyd_oracle_cases()[case]
     monkeypatch.setattr(ml, "_MAX_ITER", max_iter)
     columns = np.ascontiguousarray(Y.T)
     taken = set()
     for r, seed in enumerate(reference_raw(8, restarts)):
-        centroids, labels, inertia = ml._lloyd(columns, k, seed)
-        ref = reference_lloyd(Y, k, seed, max_iter, 1e-8)
+        centroids, labels, inertia = ml._lloyd(columns, seed)
+        ref = reference_lloyd(Y, 2, seed, max_iter, 1e-8)
         assert centroids.tobytes() == ref.centroids.tobytes(), r
         assert labels.tobytes() == ref.labels.tobytes(), r
         assert inertia == ref.inertia, r
@@ -383,7 +375,7 @@ def test_seeding_assignment_is_assign_byte_for_byte():
     for k in (2, 3, 5):
         for seed in reference_raw(3, 20):
             uniforms = reference_uniforms(seed, k)
-            centers, labels, point_d2 = ml._kmeans_plusplus(columns, k, uniforms)
+            centers, labels, point_d2 = ml._kmeans_plusplus(columns, uniforms)
             assigned_labels, assigned_d2 = ml._assign(columns, centers)
             assert labels.tobytes() == assigned_labels.tobytes()
             assert point_d2.tobytes() == assigned_d2.tobytes()
@@ -392,8 +384,8 @@ def test_seeding_assignment_is_assign_byte_for_byte():
 def test_lloyd_computes_each_assignment_once(monkeypatch):
     # The seeding's distances are the first assignment, an update is followed
     # by exactly one assignment, and a repeated partition ends the restart
-    # without a further update or assignment: k distance columns per update,
-    # plus k for the final assignment unless the restart ended on a repeat.
+    # without a further update or assignment: 2 distance columns per update,
+    # plus 2 for the final assignment unless the restart ended on a repeat.
     Y = scores_like_dense()
     columns = np.ascontiguousarray(Y.T)
     calls = []
@@ -404,12 +396,11 @@ def test_lloyd_computes_each_assignment_once(monkeypatch):
         return squared_distances(*args)
 
     monkeypatch.setattr(ml, "_squared_distances", counted)
-    for k in (2, 3):
-        for seed in reference_raw(8, 4):
-            calls.clear()
-            ml._lloyd(columns, k, seed)
-            ref = reference_lloyd(Y, k, seed, 300, 1e-8)
-            assert len(calls) == k * (ref.iterations + (ref.stop != "repeat")), (k, seed, ref.stop)
+    for seed in reference_raw(8, 4):
+        calls.clear()
+        ml._lloyd(columns, seed)
+        ref = reference_lloyd(Y, 2, seed, 300, 1e-8)
+        assert len(calls) == 2 * (ref.iterations + (ref.stop != "repeat")), (seed, ref.stop)
 
 
 def test_kmeans_deterministic_across_calls():
@@ -422,9 +413,9 @@ def test_kmeans_deterministic_across_calls():
 
 def test_kmeans_input_validation():
     with pytest.raises(MlError):
-        kmeans_fit(np.zeros((1, 2)), KMeansConfig(k=2))
+        kmeans_fit(np.zeros((1, 2)), KMeansConfig())
     with pytest.raises(MlError):
-        kmeans_fit(np.array([[1.0, np.inf], [0.0, 0.0]]), KMeansConfig(k=2))
+        kmeans_fit(np.array([[1.0, np.inf], [0.0, 0.0]]), KMeansConfig())
 
 
 def test_kmeans_inertia_is_assignment_consistent():
@@ -473,6 +464,13 @@ def test_label_clusters_weak_separation_degenerate():
     )
     defective, degenerate = label_clusters(model, mean_l)
     assert degenerate and defective.tolist() == [False] * 4
+
+
+def test_label_clusters_rejects_other_cluster_counts():
+    for centroids in (np.zeros((1, 2)), np.zeros((3, 2))):
+        model = ml.KMeansModel(centroids=centroids, labels=np.zeros(3, dtype=np.int64), inertia=0.0)
+        with pytest.raises(MlError, match="centroids"):
+            label_clusters(model, np.ones(3))
 
 
 def test_label_partition_invariant_under_luminance_scale():

@@ -672,3 +672,53 @@ def test_scaling_luminance_scales_the_descriptors_and_keeps_the_classification(t
     assert scaled.report["flags"] == base.report["flags"]
     np.testing.assert_allclose(scaled.cells.values[:, :4], 3.0 * base.cells.values[:, :4], rtol=1e-6, atol=0)
     np.testing.assert_allclose(scaled.cells.values[:, 4:], base.cells.values[:, 4:], rtol=1e-6, atol=0)
+
+
+# Frames of the transposition test: 20x20-cell colour frames at the
+# acceptance pitch, one with a negative rotation, and luminance-only frames
+# at the 9.5 px dense pitch, upright and posed.
+TRANSPOSE_FRAMES = {
+    "colour_1deg": dict(cell_size_px=20.0, gap_px=3.0, rotation_deg=1.0, perspective_strength=0.012, seed=31),
+    "colour_-2.5deg": dict(cell_size_px=20.0, gap_px=3.0, rotation_deg=-2.5, perspective_strength=0.018, seed=32),
+    "luminance_9.5px_0deg": dict(cell_size_px=7.0, gap_px=2.5, seed=33),
+    "luminance_9.5px_1deg": dict(cell_size_px=7.0, gap_px=2.5, rotation_deg=1.0, perspective_strength=0.012, seed=34),
+}
+
+
+@pytest.mark.parametrize("case", TRANSPOSE_FRAMES)
+def test_transposing_the_frame_swaps_the_axes(tmp_path, case):
+    # Corner detection, rectification, the two axis projections and the
+    # per-cell sampling treat x and y alike, so the transposed frame must
+    # give the transposed grid and defect set and the same per-cell means;
+    # only the order of float sums differs, hence the 1e-9 tolerances.
+    config = synthgen.SynthConfig(grid_rows=20, grid_cols=20, lum_mean=100, lum_sigma=6, defect_fraction=0.05,
+                                  defect_residual=0.02, noise_sigma=0.4, chroma_sigma=0.005,
+                                  **TRANSPOSE_FRAMES[case])
+    frame, _, _ = synthgen.generate(config)
+    planes = [frame.luminance] if case.startswith("luminance") else [frame.luminance, frame.chroma_x, frame.chroma_y]
+
+    def analyze(name, width, height, planes):
+        frame_path = tmp_path / f"{name}.ulf"
+        io.write_frame(io.MeasurementFrame(width, height, *planes), frame_path)
+        return run(PipelineConfig(str(frame_path), str(tmp_path / name), kmeans=ml.KMeansConfig(n_init=20, seed=8)))
+
+    def by_cell(result, swap):
+        rows, cols = result.cells.rows, result.cells.cols
+        if swap:
+            rows, cols = cols, rows
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], result.cells.values[order, 0], result.defective[order]
+
+    base = analyze("base", frame.width, frame.height, planes)
+    swapped = analyze("transposed", frame.height, frame.width, [p.T for p in planes])
+    assert 0 < base.defective.sum() < len(base.defective)
+    for a, b in ((base, swapped), (swapped, base)):
+        assert len(a.pixel_grid.x_edges) == len(b.pixel_grid.y_edges)
+        np.testing.assert_allclose(a.pixel_grid.x_edges, b.pixel_grid.y_edges, rtol=0, atol=1e-9)
+    assert np.array_equal(swapped.pixel_grid.interior, base.pixel_grid.interior.T)
+    rows, cols, mean_l, defective = by_cell(base, swap=False)
+    t_rows, t_cols, t_mean_l, t_defective = by_cell(swapped, swap=True)
+    assert np.array_equal(t_rows, rows) and np.array_equal(t_cols, cols)
+    assert np.array_equal(t_defective, defective)
+    np.testing.assert_allclose(t_mean_l, mean_l, rtol=1e-9, atol=0)
+    assert swapped.report["flags"] == base.report["flags"]
