@@ -114,7 +114,7 @@ def _cmd_analyze(args) -> int:
             output_dir=args.out,
             defects_path=args.defects,
             corners=corners,
-            kmeans=ml.KMeansConfig(seed=args.seed, n_init=args.n_init),
+            kmeans=ml.KMeansConfig(n_init=args.n_init),
         )
     except UledInspectError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -219,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--auto-corners", action="store_true", help="detect corners automatically (default)"
     )
     ana.add_argument("--out", required=True, help="output directory for artifacts")
-    ana.add_argument("--seed", type=int, default=8, help="k-means seed (default 8)")
-    ana.add_argument("--n-init", type=int, default=100, help="k-means restarts (default 100)")
+    ana.add_argument("--n-init", type=int, default=100, help="k-means directions swept (default 100)")
     ana.set_defaults(func=_cmd_analyze)
 
     ev = sub.add_parser(

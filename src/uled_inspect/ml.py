@@ -5,34 +5,33 @@ chromaticity around 10^-1), so columns are standardized before the PCA;
 without that step the principal axes would be luminance-only.  The PCA is
 numpy's symmetric eigen-decomposition (np.linalg.eigh) of the 6x6 population
 covariance, and the classifier is two-cluster Lloyd's algorithm (functional
-and defective cells) with k-means++ seeding and multiple restarts.
+and defective cells) on the two PCA score columns.
 
-Restart r of a fit draws its two k-means++ uniforms as one batch from the
-SplitMix64 stream seeded with rng.mix(seed, r); the n_init restart seeds are
-themselves one batch, outputs 0..n_init-1 of stream(seed); the tests replay
-both from the scalar reference stream in tests/test_rng.py.  Restarts are
-thus independent of execution order, and a thread-parallel fit returns
-bit-identical results to the sequential one.
+The best two-cluster partition is a threshold split along some direction
+(Inaba, Katoh & Imai 1994), so a fit starts Lloyd from the best split along
+each of n_init directions and keeps the lowest inertia.  It draws no random
+numbers, and a thread-parallel fit is bit-identical to the sequential one.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import MlError
-from .rng import SplitMix64
 
 # Lloyd stops after _MAX_ITER iterations or once the centroids move less than
-# _TOL in summed squared distance.  Its _CLUSTERS are functional and defective cells.
+# _TOL in summed squared distance.  Its _CLUSTERS are functional and defective
+# cells.  It starts from a cut at one of the edges of _BINS equal-width bins.
 _MAX_ITER = 300
 _TOL = 1e-8
 _CLUSTERS = 2
+_BINS = 64
 
 
 @dataclass(frozen=True)
@@ -45,11 +44,10 @@ class PcaModel:
 
 @dataclass(frozen=True)
 class KMeansConfig:
-    n_init: int = 100
-    seed: int = 8
+    n_init: int = 100  # directions swept, one Lloyd run from each
 
     def __post_init__(self):
-        if self.n_init < 1:
+        if isinstance(self.n_init, bool) or not isinstance(self.n_init, int) or self.n_init < 1:
             raise MlError(f"invalid k-means config {self}")
 
 
@@ -113,74 +111,77 @@ def pca_transform(model: PcaModel, Z: np.ndarray) -> np.ndarray:
 
 
 def _squared_distances(columns: np.ndarray, center: np.ndarray) -> np.ndarray:
-    d2 = (columns[0] - center[0]) ** 2
-    for column, c in zip(columns[1:], center[1:]):
-        d2 += (column - c) ** 2
-    return d2
-
-
-def _take_closer(labels: np.ndarray, point_d2: np.ndarray, d2: np.ndarray, j: int) -> None:
-    """Move to centre j the points strictly closer to it (d2) than to their own (point_d2)."""
-    labels[d2 < point_d2] = j
-    np.minimum(point_d2, d2, out=point_d2)
+    return (columns[0] - center[0]) ** 2 + (columns[1] - center[1]) ** 2
 
 
 def _assign(columns: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid of every point, the lowest index on ties, and its squared distance."""
+    """Nearest centroid of every point, centroid 0 on ties, and its squared distance."""
     point_d2 = _squared_distances(columns, centroids[0])
-    labels = np.zeros(len(point_d2), dtype=np.int64)
-    for j in range(1, len(centroids)):
-        _take_closer(labels, point_d2, _squared_distances(columns, centroids[j]), j)
+    d2 = _squared_distances(columns, centroids[1])
+    labels = (d2 < point_d2).astype(np.int64)
+    np.minimum(point_d2, d2, out=point_d2)
     return labels, point_d2
 
 
-def _kmeans_plusplus(columns: np.ndarray, uniforms: list[float]) -> tuple[np.ndarray, ...]:
-    """k-means++ centres, one per uniform, the i-th chosen by the i-th, and their assignment:
-    the running minimum weighting the draws takes each centre with _assign's step, in order."""
-    n = columns.shape[1]
-    centers = np.empty((len(uniforms), columns.shape[0]))
-    centers[0] = columns[:, min(int(uniforms[0] * n), n - 1)]
-    d2 = _squared_distances(columns, centers[0])
-    labels = np.zeros(n, dtype=np.int64)
-    for i, u in enumerate(uniforms[1:], start=1):
-        total = float(d2.sum())
-        if total <= 0.0:
-            idx = int(u * n)
-        else:
-            idx = int(np.searchsorted(np.cumsum(d2), u * total, side="right"))
-        centers[i] = columns[:, min(idx, n - 1)]
-        _take_closer(labels, d2, _squared_distances(columns, centers[i]), i)
-    return centers, labels, d2
+def _cluster_sums(columns: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Point count and column sums of each cluster, added in point order."""
+    ones = np.count_nonzero(labels)
+    sums = [np.bincount(labels, weights=column, minlength=_CLUSTERS) for column in columns]
+    return np.array([len(labels) - ones, ones]), np.stack(sums, axis=1)
 
 
-def _lloyd(columns: np.ndarray, restart_seed: int):
-    """One k-means++ seeded two-cluster Lloyd restart on the (d, n) C-contiguous columns of Y.
+def _threshold_split(columns: np.ndarray, angle: float) -> np.ndarray:
+    """Labels of the lowest-inertia cut at a bin edge of the projection onto angle.
+
+    The projection goes into _BINS equal-width bins, its lowest value in the
+    first and its highest in the last, so every edge has points on both
+    sides.  The lowest inertia is the largest |S_L - n_L m|^2 / (n_L n_R), from
+    the point sum S_L and count n_L left of the edge and the mean m: one
+    np.bincount per column, no sort (exact 1-D k-means, Wang & Song 2011, on
+    bins).  The first largest wins, and the points right of it are cluster
+    1; if all points project to one value, the last point is.
+    """
+    projection = math.cos(angle) * columns[0] + math.sin(angle) * columns[1]
+    low, high, n = projection.min(), projection.max(), len(projection)
+    if high == low:
+        return np.repeat(np.arange(_CLUSTERS), [n - 1, 1])
+    bins = np.minimum(((projection - low) / (high - low) * _BINS).astype(np.int64), _BINS - 1)
+    n_left = np.cumsum(np.bincount(bins, minlength=_BINS))[:-1]
+    between = np.zeros(_BINS - 1)
+    for column in columns:
+        s_left = np.cumsum(np.bincount(bins, weights=column, minlength=_BINS))
+        between += (s_left[:-1] - n_left * (s_left[-1] / n)) ** 2
+    between /= n_left * (n - n_left)
+    return (bins > np.argmax(between)).astype(np.int64)
+
+
+def _lloyd(columns: np.ndarray, start: np.ndarray):
+    """Two-cluster Lloyd on the (2, n) C-contiguous columns of Y, from the
+    means of the partition `start` (labels 0 and 1, neither cluster empty).
 
     The result is bit-identical to the row-wise form (an n x 2 distance matrix
     summed over axis 2, argmin, and Y[labels == j].mean(axis=0); kept in
-    tests/test_ml.py as the oracle) for every 2 <= d <= 7:
-    - the squared distance to a centre is summed over the columns in order,
-      (col0 - c0)**2 + (col1 - c1)**2 + ...; numpy reduces an axis of fewer
-      than 8 elements left to right, so np.sum(..., axis=1) adds the same
-      terms in the same order (from 8 on it sums pairwise);
-    - a point moves to centre j only when its distance is strictly smaller
-      than the running minimum, so ties keep the lowest index, as argmin
-      does, and the running minimum is the distance argmin picks;
+    tests/test_ml.py as the oracle):
+    - a squared distance is (col0 - c0)**2 + (col1 - c1)**2, the two terms
+      np.sum(..., axis=1) adds, in the same order;
+    - a point goes to centre 1 only when strictly closer to it, so ties
+      keep centre 0, as argmin does;
     - np.bincount(labels, weights=column) adds each cluster's values in
-      point order starting from 0.0, as the axis-0 sum inside
-      mean(axis=0) of a C-contiguous (m, d) matrix does for d >= 2, and the
-      sum is divided by the count as mean does;
-    - every distance is a number, never NaN, because kmeans_fit rejects
-      non-finite input; with NaN, < and argmin would disagree.
-    A restart returns once an assignment repeats one with no empty cluster:
-    the centroids are its means, so the update would reproduce them bit for
-    bit, move them by 0 and re-assign the same partition.  Two distinct
-    means keep both clusters non-empty (over the points of cluster j,
-    sum(d_j - d_other) = -n_j * |c_j - c_other|^2 < 0), so a cluster empties
-    only when the centres coincide; its centre moves to the farthest point.
+      point order from 0.0, as mean(axis=0) of a C-contiguous (m, 2) matrix
+      does, and the sum is divided by the count as mean does;
+    - no distance is NaN, on which < and argmin would disagree, because
+      kmeans_fit rejects non-finite input.
+    A run returns once an assignment repeats one with no empty cluster (the
+    start counts): its means would reproduce the centroids bit for bit.
+    Two distinct means keep both clusters non-empty (over the points of
+    cluster j, sum(d_j - d_other) = -n_j * |c_j - c_other|^2 < 0), so a
+    cluster empties only when the centres coincide; its centre moves to the
+    farthest point.
     """
-    centroids, labels, point_d2 = _kmeans_plusplus(columns, SplitMix64(restart_seed).uniform_batch(_CLUSTERS).tolist())
-    previous_inertia, repeated = np.inf, False
+    counts, sums = _cluster_sums(columns, start)
+    centroids = sums / counts[:, None]
+    labels, point_d2 = _assign(columns, centroids)
+    previous_inertia, repeated = np.inf, np.array_equal(labels, start)
     for _ in range(_MAX_ITER):
         inertia = float(point_d2.sum())
         if inertia > previous_inertia * (1 + 1e-12) + 1e-12:
@@ -189,9 +190,8 @@ def _lloyd(columns: np.ndarray, restart_seed: int):
             return centroids, labels, inertia
         previous_inertia = inertia
 
-        counts = np.array([np.count_nonzero(labels == j) for j in range(_CLUSTERS)])
+        counts, sums = _cluster_sums(columns, labels)
         present = counts > 0
-        sums = np.stack([np.bincount(labels, weights=column, minlength=_CLUSTERS) for column in columns], axis=1)
         new_centroids = centroids.copy()
         new_centroids[present] = sums[present] / counts[present, None]
         if not present.all():
@@ -207,35 +207,36 @@ def _lloyd(columns: np.ndarray, restart_seed: int):
 
 
 def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: int = 1) -> KMeansModel:
-    """Best-of-n_init Lloyd clustering; deterministic for a given (Y, config).
+    """The lowest-inertia Lloyd run of n_init, run r from the best threshold
+    split along the angle r * pi / n_init.
 
-    Restarts may run on a thread pool, in batches of `threads`.  Their
-    results are taken in restart order, and only the best so far is kept: a
-    restart wins only with a strictly lower inertia, so ties go to the lowest
-    restart index and the result is identical to a sequential run.
+    Runs may go to a thread pool, in batches of `threads`.  Their results are
+    taken in order, and a run wins only with a strictly lower inertia, so
+    ties go to the lowest index and the result is that of a sequential fit.
     """
     Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2 or Y.shape[1] < 1:
-        raise MlError(f"k-means needs a 2D matrix with at least one column, got shape {Y.shape}")
+    if Y.ndim != 2 or Y.shape[1] != 2:
+        raise MlError(f"k-means needs an (n, 2) matrix of scores, got shape {Y.shape}")
     if not np.all(np.isfinite(Y)):
         raise MlError("k-means input contains non-finite values")
     if Y.shape[0] < _CLUSTERS:
         raise MlError(f"k-means needs at least {_CLUSTERS} points, got {Y.shape[0]}")
 
-    seeds = SplitMix64(config.seed).raw_batch(config.n_init).tolist()
+    angles = [r * math.pi / config.n_init for r in range(config.n_init)]
     columns = np.ascontiguousarray(Y.T)
 
-    run = partial(_lloyd, columns)
+    def run(angle):
+        return _lloyd(columns, _threshold_split(columns, angle))
 
     # min keeps the first of equal minima and holds one item at a time.  The
-    # pool gets the restarts `threads` at a time, the next batch only once
+    # pool gets the directions `threads` at a time, the next batch only once
     # every result of the last one is taken, so no results pile up.
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = (pool.map(run, seeds[i : i + threads]) for i in range(0, len(seeds), threads))
+            batches = (pool.map(run, angles[i : i + threads]) for i in range(0, len(angles), threads))
             centroids, labels, inertia = min(chain.from_iterable(batches), key=itemgetter(2))
     else:
-        centroids, labels, inertia = min(map(run, seeds), key=itemgetter(2))
+        centroids, labels, inertia = min(map(run, angles), key=itemgetter(2))
     centroids.setflags(write=False)
     labels.setflags(write=False)
     return KMeansModel(centroids=centroids, labels=labels, inertia=inertia)

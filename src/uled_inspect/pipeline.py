@@ -56,8 +56,8 @@ class PipelineConfig:
             if not all(len(p) == 2 and all(math.isfinite(v) for v in p) for p in self.corners):
                 raise ConfigError(f"explicit corners need finite (x, y) points, got {self.corners}")
             _quad_size(self.corners)
-        if self.threads < 1:
-            raise ConfigError(f"threads must be positive, got {self.threads}")
+        if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
+            raise ConfigError(f"threads must be a positive int, got {self.threads!r}")
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ Derived values:
 
 Outputs are a pure function of (seed, index), so a stream is computed only
 in batches of its first outputs, vectorized.  mix(a, b) is output 0 of the
-stream seeded a + b * GOLDEN, which is also output b of stream(a), so the
-k-Means restart seeds mix(seed, r), r < n_init, are one batch.  The scalar
+stream seeded a + b * GOLDEN, which is also output b of stream(a).  The
+generator is the only user; k-Means draws no random numbers.  The scalar
 form of the definition is kept in tests/test_rng.py as the reference the
 batches are checked against.
 """

@@ -206,8 +206,15 @@ def test_analyze_without_truth_omits_accuracy(generated, tmp_path, capsys):
 def test_analyze_defaults_match_paper_settings():
     parser = cli.build_parser()
     args = parser.parse_args(["analyze", "--frame", "f", "--out", "o"])
-    assert args.seed == 8
     assert args.n_init == 100
+
+
+def test_analyze_seed_flag_is_gone(capsys):
+    # k-Means sweeps fixed directions and draws no random numbers.
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--frame", "f", "--out", "o", "--seed", "8"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_analyze_unreadable_frame_exits_3(tmp_path, capsys):

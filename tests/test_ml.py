@@ -5,7 +5,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from uled_inspect import ml
+from conftest import acceptance_config
+from uled_inspect import io, ml, pipeline, synthgen
 from uled_inspect.errors import MlError
 from uled_inspect.ml import (
     KMeansConfig,
@@ -66,20 +67,26 @@ class ReferenceRun(NamedTuple):
     stop: str  # how the loop ended, see reference_lloyd
 
 
-def reference_lloyd(Y, k, restart_seed, max_iter, tol):
-    """The row-wise restart ml._lloyd replaced: the full n x k distance
-    matrix, argmin, and one boolean-mask mean per cluster, run to its
-    movement or iteration-cap exit and then assigned once more.
+def split_means(Y, labels):
+    return np.array([Y[labels == j].mean(axis=0) for j in range(2)])
+
+
+def reference_lloyd(Y, centroids, max_iter, tol, start=None):
+    """The row-wise Lloyd loop ml._lloyd replaced: the full n x 2 distance
+    matrix, argmin, and one boolean-mask mean per cluster, from `centroids`,
+    run to its movement or iteration-cap exit and then assigned once more.
+    `start`, when given, is the partition whose means the centroids are; it
+    counts as the assignment before the first.
 
     stop is "repeat" when the last assignment equals the one before and that
     one left no cluster empty, which must give movement 0; "relabel" when
     0 < movement < tol after the assignment changed; "tol" for any other
     movement exit (the first iteration, or after a re-seed); "cap" when
     max_iter updates ran without a movement exit."""
-    centroids = reference_kmeans_plusplus(Y, k, restart_seed)
+    k = len(centroids)
     emptied = False
     stop = "cap"
-    previous_labels, previous_full = None, False
+    previous_labels, previous_full = start, start is not None
     for iteration in range(max_iter):
         d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
@@ -112,6 +119,23 @@ def reference_lloyd(Y, k, restart_seed, max_iter, tol):
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(len(Y)), labels].sum())
     return ReferenceRun(centroids, labels, inertia, emptied, iteration + 1, stop)
+
+
+def reference_best_of_kmeans_plusplus(Y, restarts=100, seed=8):
+    """The lowest inertia of `restarts` k-means++ seeded Lloyd runs, restart r
+    seeded with output r of the stream of `seed`: the fit ml.kmeans_fit made
+    before it swept directions."""
+    return min(reference_lloyd(Y, reference_kmeans_plusplus(Y, 2, s), 300, 1e-8).inertia
+               for s in reference_raw(seed, restarts))
+
+
+def directions(n):
+    return [r * np.pi / n for r in range(n)]
+
+
+def direction_splits(Y, n):
+    columns = np.ascontiguousarray(Y.T)
+    return [ml._threshold_split(columns, angle) for angle in directions(n)]
 
 
 def scores_like_dense(n=21_904, outliers=0.03, seed=21):
@@ -260,7 +284,7 @@ def test_pca_transform_dimension_mismatch():
 
 def test_kmeans_two_separated_pairs():
     Y = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
-    model = kmeans_fit(Y, KMeansConfig(n_init=10, seed=8))
+    model = kmeans_fit(Y, KMeansConfig(n_init=10))
     centroids = sorted(model.centroids.tolist())
     assert centroids == [[0.0, 0.5], [10.0, 0.5]]
     assert model.inertia == 1.0
@@ -269,14 +293,14 @@ def test_kmeans_two_separated_pairs():
 
 def test_kmeans_n_equals_k():
     Y = np.array([[0.0, 0.0], [5.0, 5.0]])
-    model = kmeans_fit(Y, KMeansConfig(n_init=5, seed=1))
+    model = kmeans_fit(Y, KMeansConfig(n_init=5))
     assert model.inertia == 0.0
     assert sorted(model.labels.tolist()) == [0, 1]
 
 
 def test_kmeans_identical_points():
     Y = np.ones((6, 2))
-    model = kmeans_fit(Y, KMeansConfig(n_init=3, seed=2))
+    model = kmeans_fit(Y, KMeansConfig(n_init=3))
     assert model.inertia == 0.0
 
 
@@ -285,7 +309,7 @@ def test_kmeans_matches_exhaustive_oracle():
     for _ in range(30):
         n = int(rng.integers(2, 13))
         Y = rng.normal(size=(n, 2)) * rng.uniform(0.5, 2.0)
-        model = kmeans_fit(Y, KMeansConfig(n_init=100, seed=8))
+        model = kmeans_fit(Y, KMeansConfig(n_init=100))
         best, best_mask = exhaustive_two_partition_minimum(Y)
         same_partition = (
             np.array_equal(model.labels.astype(bool), best_mask)
@@ -332,34 +356,40 @@ def test_kmeans_peak_does_not_grow_with_restarts(threads):
 
 
 def lloyd_oracle_cases():
-    """name -> (Y, restarts, iteration cap, what one restart at least must
-    take: a reference stop, "emptied" or None), all at k = 2."""
+    """name -> (Y, starting partitions, iteration cap, what one run at least
+    must take: a reference stop, "emptied" or None)."""
     rng = np.random.default_rng(15)
     dense = scores_like_dense()
-    six_d = rng.normal(size=(2_000, 6)) * rng.uniform(0.2, 30.0, 6) + rng.uniform(-50.0, 50.0, 6)
-    # one position: both seeds take it, so the second cluster empties
+    # a long thin cloud: splits across it start far from a fixed point
+    stretched = rng.normal(size=(2_000, 2)) * [30.0, 0.2] + [-40.0, 25.0]
+    # one position: every direction projects it to one value, the last
+    # point alone starts as cluster 1, and that cluster empties
     identical = np.repeat([[0.1, -0.7]], 30, axis=0)
     # one small blob: labels still change when the centroids move < 1e-8
     small_blob = rng.normal(size=(2_000, 2)) * 0.01
+    two = np.array([[0.0, 0.0], [5.0, 5.0]])
+    # the start's means are -1 and 1, so its four points at 0 tie
+    ties = np.column_stack([[-3.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 3.0], np.zeros(8)])
     return {
-        "dense_k2": (dense, 12, 300, "repeat"),
-        "identical": (identical, 6, 300, "emptied"),
-        "n_equals_k": (np.array([[0.0, 0.0], [5.0, 5.0]]), 20, 300, None),
-        "tol_after_relabel": (small_blob, 12, 300, "relabel"),
-        "cap_1": (six_d, 6, 1, "cap"),
-        "cap_2": (six_d, 6, 2, "cap"),
+        "dense_k2": (dense, direction_splits(dense, 12), 300, "repeat"),
+        "identical": (identical, direction_splits(identical, 6), 300, "emptied"),
+        "n_equals_k": (two, direction_splits(two, 20), 300, None),
+        "tol_after_relabel": (small_blob, direction_splits(small_blob, 12), 300, "relabel"),
+        "cap_1": (stretched, direction_splits(stretched, 6), 1, "cap"),
+        "cap_2": (stretched, direction_splits(stretched, 6), 2, "cap"),
+        "ties": (ties, [np.repeat([0, 1], 4)], 300, None),
     }
 
 
 @pytest.mark.parametrize("case", list(lloyd_oracle_cases()))
 def test_lloyd_matches_row_wise_reference_bit_for_bit(case, monkeypatch):
-    Y, restarts, max_iter, must_take = lloyd_oracle_cases()[case]
+    Y, splits, max_iter, must_take = lloyd_oracle_cases()[case]
     monkeypatch.setattr(ml, "_MAX_ITER", max_iter)
     columns = np.ascontiguousarray(Y.T)
     taken = set()
-    for r, seed in enumerate(reference_raw(8, restarts)):
-        centroids, labels, inertia = ml._lloyd(columns, seed)
-        ref = reference_lloyd(Y, 2, seed, max_iter, 1e-8)
+    for r, split in enumerate(splits):
+        centroids, labels, inertia = ml._lloyd(columns, split)
+        ref = reference_lloyd(Y, split_means(Y, split), max_iter, 1e-8, start=split)
         assert centroids.tobytes() == ref.centroids.tobytes(), r
         assert labels.tobytes() == ref.labels.tobytes(), r
         assert inertia == ref.inertia, r
@@ -367,27 +397,33 @@ def test_lloyd_matches_row_wise_reference_bit_for_bit(case, monkeypatch):
     assert must_take is None or must_take in taken, taken
 
 
-def test_seeding_assignment_is_assign_byte_for_byte():
-    # integer coordinates, each point twice: distances tie exactly, and
-    # two centres can coincide
-    lattice = np.stack(np.meshgrid(np.arange(5.0), np.arange(4.0)), axis=-1).reshape(-1, 2)
-    columns = np.ascontiguousarray(np.repeat(lattice, 2, axis=0).T)
-    for k in (2, 3, 5):
-        for seed in reference_raw(3, 20):
-            uniforms = reference_uniforms(seed, k)
-            centers, labels, point_d2 = ml._kmeans_plusplus(columns, uniforms)
-            assigned_labels, assigned_d2 = ml._assign(columns, centers)
-            assert labels.tobytes() == assigned_labels.tobytes()
-            assert point_d2.tobytes() == assigned_d2.tobytes()
+def test_threshold_split_is_the_best_bin_edge_cut():
+    # Row-wise: every cut at an edge of the _BINS bins of the projection,
+    # its inertia from the two boolean-mask means; the first lowest wins.
+    rng = np.random.default_rng(17)
+    clouds = [rng.normal(size=(300, 2)) * [3.0, 0.5], scores_like_dense(n=2_000),
+              np.concatenate([rng.normal(size=(200, 2)), rng.normal(size=(20, 2)) + [4.0, -3.0]])]
+    for Y in clouds:
+        columns = np.ascontiguousarray(Y.T)
+        for angle in directions(16):
+            projection = np.cos(angle) * Y[:, 0] + np.sin(angle) * Y[:, 1]
+            low, high = projection.min(), projection.max()
+            bins = np.minimum(((projection - low) / (high - low) * ml._BINS).astype(int), ml._BINS - 1)
+            inertias = []
+            for edge in range(ml._BINS - 1):
+                right = bins > edge
+                inertias.append(sum(((Y[part] - Y[part].mean(axis=0)) ** 2).sum() for part in (~right, right)))
+            split = ml._threshold_split(columns, angle)
+            best = np.flatnonzero(np.isclose(inertias, min(inertias), rtol=1e-12, atol=0.0))[0]
+            assert split.tolist() == (bins > best).tolist(), angle
 
 
 def test_lloyd_computes_each_assignment_once(monkeypatch):
-    # The seeding's distances are the first assignment, an update is followed
-    # by exactly one assignment, and a repeated partition ends the restart
-    # without a further update or assignment: 2 distance columns per update,
-    # plus 2 for the final assignment unless the restart ended on a repeat.
-    Y = scores_like_dense()
-    columns = np.ascontiguousarray(Y.T)
+    # The start's means are assigned once, an update is followed by exactly
+    # one assignment, and a repeated partition (the start included) ends
+    # the run without a further update or assignment: 2 distance columns per
+    # update, plus 2 for the final assignment unless the run ended on a
+    # repeat.
     calls = []
     squared_distances = ml._squared_distances
 
@@ -396,18 +432,27 @@ def test_lloyd_computes_each_assignment_once(monkeypatch):
         return squared_distances(*args)
 
     monkeypatch.setattr(ml, "_squared_distances", counted)
-    for seed in reference_raw(8, 4):
-        calls.clear()
-        ml._lloyd(columns, seed)
-        ref = reference_lloyd(Y, 2, seed, 300, 1e-8)
-        assert len(calls) == 2 * (ref.iterations + (ref.stop != "repeat")), (seed, ref.stop)
+    # On the dense-like scores every start is a fixed point already; a round
+    # cloud takes several updates from most directions.
+    round_cloud = np.random.default_rng(18).normal(size=(3_000, 2)) * [1.0, 0.8]
+    iterations = set()
+    for Y in (scores_like_dense(), round_cloud):
+        columns = np.ascontiguousarray(Y.T)
+        for angle in directions(8):
+            split = ml._threshold_split(columns, angle)
+            calls.clear()
+            ml._lloyd(columns, split)
+            ref = reference_lloyd(Y, split_means(Y, split), 300, 1e-8, start=split)
+            assert len(calls) == 2 * (ref.iterations + (ref.stop != "repeat")), (angle, ref.stop)
+            iterations.add(ref.iterations)
+    assert 1 in iterations and max(iterations) > 2, iterations
 
 
 def test_kmeans_deterministic_across_calls():
     rng = np.random.default_rng(13)
     Y = rng.normal(size=(80, 2))
-    a = kmeans_fit(Y, KMeansConfig(n_init=20, seed=8))
-    b = kmeans_fit(Y, KMeansConfig(n_init=20, seed=8))
+    a = kmeans_fit(Y, KMeansConfig(n_init=20))
+    b = kmeans_fit(Y, KMeansConfig(n_init=20))
     assert np.array_equal(a.centroids, b.centroids) and a.inertia == b.inertia
 
 
@@ -416,12 +461,51 @@ def test_kmeans_input_validation():
         kmeans_fit(np.zeros((1, 2)), KMeansConfig())
     with pytest.raises(MlError):
         kmeans_fit(np.array([[1.0, np.inf], [0.0, 0.0]]), KMeansConfig())
+    for shape in ((5,), (5, 1), (5, 3)):
+        with pytest.raises(MlError, match="shape"):
+            kmeans_fit(np.zeros(shape), KMeansConfig())
+
+
+@pytest.mark.parametrize("n_init", [0, -3, 2.5, 2.0, True, "4", None])
+def test_kmeans_config_rejects_a_bad_direction_count(n_init):
+    with pytest.raises(MlError, match="k-means config"):
+        KMeansConfig(n_init=n_init)
+
+
+# The map-202 pose (acceptance map 2) at the edges of the envelope: a
+# brightness spread that leaves no defect cluster, and defect fractions from
+# none to 40%.
+ENVELOPE = {
+    "lum_sigma_20": dict(lum_sigma=20.0),
+    "defect_fraction_0": dict(defect_fraction=0.0),
+    "defect_fraction_0.25": dict(defect_fraction=0.25),
+    "defect_fraction_0.4": dict(defect_fraction=0.4),
+}
+
+
+@pytest.mark.parametrize("case", ENVELOPE)
+def test_kmeans_is_no_worse_than_best_of_100_kmeans_plusplus(case, tmp_path, monkeypatch):
+    frame, _, _ = synthgen.generate(
+        acceptance_config(rotation_deg=1.0, perspective_strength=0.012, seed=202, **ENVELOPE[case])
+    )
+    io.write_frame(frame, tmp_path / "frame.ulf")
+    fits = []
+    fit = ml.kmeans_fit
+
+    def recorded(Y, *args, **kwargs):
+        fits.append((Y, fit(Y, *args, **kwargs)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(ml, "kmeans_fit", recorded)
+    pipeline.run(pipeline.PipelineConfig(str(tmp_path / "frame.ulf"), str(tmp_path / "out")))
+    (Y, model), = fits
+    assert model.inertia <= reference_best_of_kmeans_plusplus(Y)
 
 
 def test_kmeans_inertia_is_assignment_consistent():
     rng = np.random.default_rng(14)
     Y = rng.normal(size=(50, 2))
-    model = kmeans_fit(Y, KMeansConfig(n_init=5, seed=3))
+    model = kmeans_fit(Y, KMeansConfig(n_init=5))
     d2 = ((Y[:, None, :] - model.centroids[None]) ** 2).sum(axis=2)
     assert model.inertia == pytest.approx(d2.min(axis=1).sum(), rel=1e-12)
     assert np.array_equal(model.labels, d2.argmin(axis=1))
@@ -487,7 +571,7 @@ def test_label_partition_invariant_under_luminance_scale():
         Z = standardize_fit_transform(values)
         model = pca_fit(Z)
         Y = pca_transform(model, Z)
-        km = kmeans_fit(Y, KMeansConfig(n_init=20, seed=8))
+        km = kmeans_fit(Y, KMeansConfig(n_init=20))
         return label_clusters(km, values[:, 0])[0]
 
     assert classify(1.0).tolist() == classify(1000.0).tolist()

@@ -29,7 +29,7 @@ def small_map(tmp_path, **overrides):
 
 
 def fast_kmeans():
-    return ml.KMeansConfig(n_init=15, seed=8)
+    return ml.KMeansConfig(n_init=15)
 
 
 SUMMARY_SECTIONS = {"grid_metrics", "confusion", "les_stats", "flags"}
@@ -292,8 +292,15 @@ def test_threads_setting():
     assert PipelineConfig(frame_path="x", output_dir="y").threads == 1
     assert PipelineConfig(frame_path="x", output_dir="y", threads=3).threads == 3
     for bad in (0, -2):
-        with pytest.raises(ConfigError, match="threads must be positive"):
+        with pytest.raises(ConfigError, match="threads must be a positive int"):
             PipelineConfig(frame_path="x", output_dir="y", threads=bad)
+
+
+@pytest.mark.parametrize("bad", [2.0, 1.5, True, "2", None])
+def test_threads_must_be_an_int(bad):
+    # 2.0 used to build and then fail in stage classify; True ran 1 thread.
+    with pytest.raises(ConfigError, match="threads must be a positive int"):
+        PipelineConfig(frame_path="x", output_dir="y", threads=bad)
 
 
 def test_invalid_pipeline_config():
@@ -651,7 +658,7 @@ def test_scaling_luminance_scales_the_descriptors_and_keeps_the_classification(t
         frame_path = tmp_path / f"frame_{c}.ulf"
         io.write_frame(scaled, frame_path)
         return run(PipelineConfig(str(frame_path), str(tmp_path / f"out_{c}"), str(defects_path),
-                                  kmeans=ml.KMeansConfig(n_init=20, seed=8)))
+                                  kmeans=ml.KMeansConfig(n_init=20)))
 
     base = analyze(1)
     assert 0 < base.defective.sum() < len(base.defective)
@@ -700,7 +707,7 @@ def test_transposing_the_frame_swaps_the_axes(tmp_path, case):
     def analyze(name, width, height, planes):
         frame_path = tmp_path / f"{name}.ulf"
         io.write_frame(io.MeasurementFrame(width, height, *planes), frame_path)
-        return run(PipelineConfig(str(frame_path), str(tmp_path / name), kmeans=ml.KMeansConfig(n_init=20, seed=8)))
+        return run(PipelineConfig(str(frame_path), str(tmp_path / name), kmeans=ml.KMeansConfig(n_init=20)))
 
     def by_cell(result, swap):
         rows, cols = result.cells.rows, result.cells.cols

@@ -11,7 +11,7 @@ from uled_inspect.rng import SplitMix64, mix
 GOLDEN = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
 
-# A negative seed (`analyze --seed -1` is accepted) and one >= 2**64 are
+# A negative seed (`generate --seed -1` is accepted) and one >= 2**64 are
 # taken mod 2**64.
 SEEDS = [0, 8, 1234, -1, 2**64 + 5]
 
@@ -99,7 +99,7 @@ def test_mix_definition():
     for seed in SEEDS:
         mixed = [mix(seed, r) for r in range(100)]
         assert mixed == [reference_mix(seed, r) for r in range(100)], seed
-        # Output r of a stream is its restart-r substream seed (ml.kmeans_fit).
+        # Output r of the stream of a seed is its substream seed mix(seed, r).
         assert mixed == SplitMix64(seed).raw_batch(100).tolist(), seed
     assert mix(8, 0) != mix(8, 1) != mix(9, 0)
 
