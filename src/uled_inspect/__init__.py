@@ -9,7 +9,6 @@ from .geometry import Homography, apply_homography, detect_corners, estimate_hom
 from .grid import GridMetrics, PixelGrid, build_grid, cell_size, detect_edges, estimate_period, project
 from .features import CellTable, extract
 from .ml import (
-    KMeansConfig,
     KMeansModel,
     PcaModel,
     kmeans_fit,
@@ -46,7 +45,6 @@ __all__ = [
     "CellTable",
     "extract",
     "PcaModel",
-    "KMeansConfig",
     "KMeansModel",
     "standardize_fit_transform",
     "pca_fit",

@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
-from . import __version__, io, ml, pipeline, synthgen
+from . import __version__, io, pipeline, synthgen
 from .errors import ConfigError, PipelineStageError, UledInspectError
 
 EXIT_OK = 0
@@ -80,14 +81,23 @@ def _cmd_generate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     frame, defects, corners = synthgen.generate(config)
+    sidecar = Path(str(args.out_frame) + ".corners.json")
+    # Each output goes to a temporary beside its target; the targets are replaced
+    # only once all three are written, so a failed write leaves them as they were.
+    targets = (Path(args.out_frame), Path(args.out_defects), sidecar)
+    temps = [target.with_name(f".{target.name}.{os.getpid()}.tmp") for target in targets]
     try:
-        io.write_frame(frame, args.out_frame)
-        io.write_defect_map(defects, args.out_defects)
-        sidecar = Path(str(args.out_frame) + ".corners.json")
-        sidecar.write_text(json.dumps({"corners": corners}) + "\n", encoding="ascii")
+        io.write_frame(frame, temps[0])
+        io.write_defect_map(defects, temps[1])
+        temps[2].write_text(json.dumps({"corners": corners}) + "\n", encoding="ascii")
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
     print(
         f"wrote {args.out_frame} ({frame.width}x{frame.height}), "
         f"{args.out_defects} ({defects.defect_count()} defects), {sidecar}"
@@ -114,7 +124,6 @@ def _cmd_analyze(args) -> int:
             output_dir=args.out,
             defects_path=args.defects,
             corners=corners,
-            kmeans=ml.KMeansConfig(n_init=args.n_init),
         )
     except UledInspectError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -219,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--auto-corners", action="store_true", help="detect corners automatically (default)"
     )
     ana.add_argument("--out", required=True, help="output directory for artifacts")
-    ana.add_argument("--n-init", type=int, default=100, help="k-means directions swept (default 100)")
     ana.set_defaults(func=_cmd_analyze)
 
     ev = sub.add_parser(

@@ -9,7 +9,7 @@ and defective cells) on the two PCA score columns.
 
 The best two-cluster partition is a threshold split along some direction
 (Inaba, Katoh & Imai 1994), so a fit starts Lloyd from the best split along
-each of n_init directions and keeps the lowest inertia.  It draws no random
+each of _DIRECTIONS angles and keeps the lowest inertia.  It draws no random
 numbers, and a thread-parallel fit is bit-identical to the sequential one.
 """
 
@@ -27,10 +27,12 @@ from .errors import MlError
 
 # Lloyd stops after _MAX_ITER iterations or once the centroids move less than
 # _TOL in summed squared distance.  Its _CLUSTERS are functional and defective
-# cells.  It starts from a cut at one of the edges of _BINS equal-width bins.
+# cells.  A fit starts it once in each of _DIRECTIONS directions, from a cut at
+# one of the edges of _BINS equal-width bins.
 _MAX_ITER = 300
 _TOL = 1e-8
 _CLUSTERS = 2
+_DIRECTIONS = 100
 _BINS = 64
 
 
@@ -40,15 +42,6 @@ class PcaModel:
 
     components: np.ndarray
     explained_variance: np.ndarray
-
-
-@dataclass(frozen=True)
-class KMeansConfig:
-    n_init: int = 100  # directions swept, one Lloyd run from each
-
-    def __post_init__(self):
-        if isinstance(self.n_init, bool) or not isinstance(self.n_init, int) or self.n_init < 1:
-            raise MlError(f"invalid k-means config {self}")
 
 
 @dataclass(frozen=True)
@@ -206,9 +199,9 @@ def _lloyd(columns: np.ndarray, start: np.ndarray):
     return centroids, labels, float(point_d2.sum())
 
 
-def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: int = 1) -> KMeansModel:
-    """The lowest-inertia Lloyd run of n_init, run r from the best threshold
-    split along the angle r * pi / n_init.
+def kmeans_fit(Y: np.ndarray, threads: int = 1) -> KMeansModel:
+    """The lowest-inertia Lloyd run of _DIRECTIONS, run r from the best
+    threshold split along the angle r * pi / _DIRECTIONS.
 
     Runs may go to a thread pool, in batches of `threads`.  Their results are
     taken in order, and a run wins only with a strictly lower inertia, so
@@ -222,7 +215,7 @@ def kmeans_fit(Y: np.ndarray, config: KMeansConfig = KMeansConfig(), threads: in
     if Y.shape[0] < _CLUSTERS:
         raise MlError(f"k-means needs at least {_CLUSTERS} points, got {Y.shape[0]}")
 
-    angles = [r * math.pi / config.n_init for r in range(config.n_init)]
+    angles = [r * math.pi / _DIRECTIONS for r in range(_DIRECTIONS)]
     columns = np.ascontiguousarray(Y.T)
 
     def run(angle):

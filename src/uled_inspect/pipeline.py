@@ -16,7 +16,7 @@ import math
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -46,7 +46,6 @@ class PipelineConfig:
     output_dir: str
     defects_path: str | None = None
     corners: tuple[tuple[float, float], ...] | None = None
-    kmeans: ml.KMeansConfig = field(default_factory=ml.KMeansConfig)
     threads: int = 1
 
     def __post_init__(self):
@@ -266,7 +265,7 @@ def run(config: PipelineConfig) -> ClassificationReport:
         standardized = ml.standardize_fit_transform(cells.values)
         pca = ml.pca_fit(standardized)
         projected = ml.pca_transform(pca, standardized)
-        model = ml.kmeans_fit(projected, config.kmeans, threads=config.threads)
+        model = ml.kmeans_fit(projected, threads=config.threads)
         mean_l = cells.column("mean_l")
         defective, degenerate = ml.label_clusters(model, mean_l)
 

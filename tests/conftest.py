@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from uled_inspect import io, ml, pipeline, synthgen
+from uled_inspect import io, pipeline, synthgen
 
 
 def make_frame(values, chroma_x=None, chroma_y=None):
@@ -57,7 +57,6 @@ def pixel_maps(tmp_path_factory):
                 frame_path=str(frame_path),
                 output_dir=str(root / f"out{i}"),
                 defects_path=str(defects_path),
-                kmeans=ml.KMeansConfig(),
             )
         )
         elapsed = time.perf_counter() - started

@@ -103,7 +103,7 @@ def test_criterion_5_kmeans_global_optimum():
     for _ in range(200):
         n = int(rng.integers(2, 13))
         Y = rng.normal(size=(n, 2)) * rng.uniform(0.3, 3.0)
-        model = ml.kmeans_fit(Y, ml.KMeansConfig(n_init=100))
+        model = ml.kmeans_fit(Y)
         best, best_mask = exhaustive_two_partition_minimum(Y)
         same = (
             np.array_equal(model.labels.astype(bool), best_mask)
@@ -170,8 +170,8 @@ def test_criterion_7_conservation_and_determinism(pixel_maps, tmp_path):
 
     rng = np.random.default_rng(55)
     Y = np.concatenate([rng.normal(size=(300, 2)), rng.normal(size=(30, 2)) + 9.0])
-    sequential = ml.kmeans_fit(Y, ml.KMeansConfig(), threads=1)
-    parallel = ml.kmeans_fit(Y, ml.KMeansConfig(), threads=4)
+    sequential = ml.kmeans_fit(Y, threads=1)
+    parallel = ml.kmeans_fit(Y, threads=4)
     assert np.array_equal(sequential.centroids, parallel.centroids)
     assert np.array_equal(sequential.labels, parallel.labels)
     assert sequential.inertia == parallel.inertia

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from uled_inspect import cli, io, synthgen
+from uled_inspect import cli, io, ml, synthgen
 from uled_inspect.cli import main
 
 CONFIG_TEXT = """\
@@ -44,6 +44,26 @@ def test_generate_writes_three_files(generated, tmp_path):
     corners = json.loads(sidecar.read_text())["corners"]
     assert len(corners) == 4
     assert io.read_frame(frame).width > 0
+
+
+def test_generate_failed_write_leaves_the_earlier_outputs(generated, tmp_path, capsys):
+    # The defect CSV cannot be written, so the frame and its corner sidecar
+    # must not be replaced either, and no temporary may stay behind.
+    config, frame, _ = generated
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    code = main([
+        "generate", "--config", str(config), "--seed", "5",
+        "--out-frame", str(frame), "--out-defects", str(tmp_path / "nodir" / "d.csv"),
+    ])
+    assert code == 1
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+    code = main([
+        "generate", "--config", str(config),
+        "--out-frame", str(tmp_path / "new.ulf"), "--out-defects", str(tmp_path / "nodir" / "d.csv"),
+    ])
+    assert code == 1
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_generate_missing_config_flag_exits_2(capsys):
@@ -183,7 +203,7 @@ def test_analyze_with_truth_prints_accuracy(generated, tmp_path, capsys):
     _, frame, defects = generated
     code = main([
         "analyze", "--frame", str(frame), "--defects", str(defects),
-        "--out", str(tmp_path / "out"), "--n-init", "15",
+        "--out", str(tmp_path / "out"),
     ])
     captured = capsys.readouterr()
     assert code == 0
@@ -195,7 +215,7 @@ def test_analyze_with_truth_prints_accuracy(generated, tmp_path, capsys):
 def test_analyze_without_truth_omits_accuracy(generated, tmp_path, capsys):
     _, frame, _ = generated
     code = main([
-        "analyze", "--frame", str(frame), "--out", str(tmp_path / "out"), "--n-init", "15",
+        "analyze", "--frame", str(frame), "--out", str(tmp_path / "out"),
     ])
     captured = capsys.readouterr()
     assert code == 0
@@ -204,9 +224,8 @@ def test_analyze_without_truth_omits_accuracy(generated, tmp_path, capsys):
 
 
 def test_analyze_defaults_match_paper_settings():
-    parser = cli.build_parser()
-    args = parser.parse_args(["analyze", "--frame", "f", "--out", "o"])
-    assert args.n_init == 100
+    # k-Means takes no setting: it sweeps 100 directions, one Lloyd run each.
+    assert ml._DIRECTIONS == 100
 
 
 def test_analyze_seed_flag_is_gone(capsys):
@@ -215,6 +234,14 @@ def test_analyze_seed_flag_is_gone(capsys):
         main(["analyze", "--frame", "f", "--out", "o", "--seed", "8"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_analyze_n_init_flag_is_gone(capsys):
+    # The direction count is a constant of ml.
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--frame", "f", "--out", "o", "--n-init", "10"])
+    assert exc.value.code == 2
+    assert "--n-init" in capsys.readouterr().err
 
 
 def test_analyze_unreadable_frame_exits_3(tmp_path, capsys):
@@ -234,7 +261,7 @@ def test_analyze_explicit_corners(generated, tmp_path, capsys):
     flat = ",".join(f"{v}" for point in corners for v in point)
     code = main([
         "analyze", "--frame", str(frame), "--defects", str(defects),
-        "--corners", flat, "--out", str(tmp_path / "out"), "--n-init", "15",
+        "--corners", flat, "--out", str(tmp_path / "out"),
     ])
     assert code == 0
     assert "accuracy=" in capsys.readouterr().out
@@ -244,7 +271,7 @@ def test_analyze_auto_corners_flag(generated, tmp_path, capsys):
     _, frame, _ = generated
     code = main([
         "analyze", "--frame", str(frame), "--auto-corners",
-        "--out", str(tmp_path / "out"), "--n-init", "15",
+        "--out", str(tmp_path / "out"),
     ])
     assert code == 0
     with pytest.raises(SystemExit) as exc:
@@ -268,7 +295,7 @@ def test_analyze_bad_corners_exits_2(generated, tmp_path, capsys):
 def analyze_to_report(frame, defects, out_dir):
     code = main([
         "analyze", "--frame", str(frame), "--defects", str(defects),
-        "--out", str(out_dir), "--n-init", "15",
+        "--out", str(out_dir),
     ])
     assert code == 0
     return out_dir / "report.json"

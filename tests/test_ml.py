@@ -9,7 +9,6 @@ from conftest import acceptance_config
 from uled_inspect import io, ml, pipeline, synthgen
 from uled_inspect.errors import MlError
 from uled_inspect.ml import (
-    KMeansConfig,
     kmeans_fit,
     label_clusters,
     pca_fit,
@@ -284,7 +283,7 @@ def test_pca_transform_dimension_mismatch():
 
 def test_kmeans_two_separated_pairs():
     Y = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
-    model = kmeans_fit(Y, KMeansConfig(n_init=10))
+    model = kmeans_fit(Y)
     centroids = sorted(model.centroids.tolist())
     assert centroids == [[0.0, 0.5], [10.0, 0.5]]
     assert model.inertia == 1.0
@@ -293,14 +292,14 @@ def test_kmeans_two_separated_pairs():
 
 def test_kmeans_n_equals_k():
     Y = np.array([[0.0, 0.0], [5.0, 5.0]])
-    model = kmeans_fit(Y, KMeansConfig(n_init=5))
+    model = kmeans_fit(Y)
     assert model.inertia == 0.0
     assert sorted(model.labels.tolist()) == [0, 1]
 
 
 def test_kmeans_identical_points():
     Y = np.ones((6, 2))
-    model = kmeans_fit(Y, KMeansConfig(n_init=3))
+    model = kmeans_fit(Y)
     assert model.inertia == 0.0
 
 
@@ -309,7 +308,7 @@ def test_kmeans_matches_exhaustive_oracle():
     for _ in range(30):
         n = int(rng.integers(2, 13))
         Y = rng.normal(size=(n, 2)) * rng.uniform(0.5, 2.0)
-        model = kmeans_fit(Y, KMeansConfig(n_init=100))
+        model = kmeans_fit(Y)
         best, best_mask = exhaustive_two_partition_minimum(Y)
         same_partition = (
             np.array_equal(model.labels.astype(bool), best_mask)
@@ -323,8 +322,8 @@ def test_kmeans_parallel_equals_sequential():
     small = np.concatenate([rng.normal(size=(120, 2)), rng.normal(size=(40, 2)) + 12.0])
     # at benchmark size every restart runs long enough to overlap the others
     for Y in (small, scores_like_dense()):
-        sequential = kmeans_fit(Y, KMeansConfig(), threads=1)
-        parallel = kmeans_fit(Y, KMeansConfig(), threads=4)
+        sequential = kmeans_fit(Y, threads=1)
+        parallel = kmeans_fit(Y, threads=4)
         assert np.array_equal(sequential.centroids, parallel.centroids)
         assert np.array_equal(sequential.labels, parallel.labels)
         assert sequential.inertia == parallel.inertia
@@ -335,12 +334,11 @@ def test_kmeans_peak_does_not_grow_with_restarts(threads):
     rng = np.random.default_rng(16)
     n = 20_000
     Y = np.concatenate([rng.normal(size=(n // 2, 2)), rng.normal(size=(n // 2, 2)) + 6.0])
-    config = KMeansConfig(n_init=100)
-    expected = kmeans_fit(Y, config, threads=1)
+    expected = kmeans_fit(Y, threads=1)
 
     tracemalloc.start()
     try:
-        model = kmeans_fit(Y, config, threads=threads)
+        model = kmeans_fit(Y, threads=threads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -451,25 +449,19 @@ def test_lloyd_computes_each_assignment_once(monkeypatch):
 def test_kmeans_deterministic_across_calls():
     rng = np.random.default_rng(13)
     Y = rng.normal(size=(80, 2))
-    a = kmeans_fit(Y, KMeansConfig(n_init=20))
-    b = kmeans_fit(Y, KMeansConfig(n_init=20))
+    a = kmeans_fit(Y)
+    b = kmeans_fit(Y)
     assert np.array_equal(a.centroids, b.centroids) and a.inertia == b.inertia
 
 
 def test_kmeans_input_validation():
     with pytest.raises(MlError):
-        kmeans_fit(np.zeros((1, 2)), KMeansConfig())
+        kmeans_fit(np.zeros((1, 2)))
     with pytest.raises(MlError):
-        kmeans_fit(np.array([[1.0, np.inf], [0.0, 0.0]]), KMeansConfig())
+        kmeans_fit(np.array([[1.0, np.inf], [0.0, 0.0]]))
     for shape in ((5,), (5, 1), (5, 3)):
         with pytest.raises(MlError, match="shape"):
-            kmeans_fit(np.zeros(shape), KMeansConfig())
-
-
-@pytest.mark.parametrize("n_init", [0, -3, 2.5, 2.0, True, "4", None])
-def test_kmeans_config_rejects_a_bad_direction_count(n_init):
-    with pytest.raises(MlError, match="k-means config"):
-        KMeansConfig(n_init=n_init)
+            kmeans_fit(np.zeros(shape))
 
 
 # The map-202 pose (acceptance map 2) at the edges of the envelope: a
@@ -505,7 +497,7 @@ def test_kmeans_is_no_worse_than_best_of_100_kmeans_plusplus(case, tmp_path, mon
 def test_kmeans_inertia_is_assignment_consistent():
     rng = np.random.default_rng(14)
     Y = rng.normal(size=(50, 2))
-    model = kmeans_fit(Y, KMeansConfig(n_init=5))
+    model = kmeans_fit(Y)
     d2 = ((Y[:, None, :] - model.centroids[None]) ** 2).sum(axis=2)
     assert model.inertia == pytest.approx(d2.min(axis=1).sum(), rel=1e-12)
     assert np.array_equal(model.labels, d2.argmin(axis=1))
@@ -571,7 +563,7 @@ def test_label_partition_invariant_under_luminance_scale():
         Z = standardize_fit_transform(values)
         model = pca_fit(Z)
         Y = pca_transform(model, Z)
-        km = kmeans_fit(Y, KMeansConfig(n_init=20))
+        km = kmeans_fit(Y)
         return label_clusters(km, values[:, 0])[0]
 
     assert classify(1.0).tolist() == classify(1000.0).tolist()

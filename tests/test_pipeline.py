@@ -28,10 +28,6 @@ def small_map(tmp_path, **overrides):
     return config, frame_path, defects_path, corners
 
 
-def fast_kmeans():
-    return ml.KMeansConfig(n_init=15)
-
-
 SUMMARY_SECTIONS = {"grid_metrics", "confusion", "les_stats", "flags"}
 
 
@@ -76,7 +72,7 @@ def test_run_releases_camera_frame_after_rectify(tmp_path, monkeypatch):
     monkeypatch.setattr(features, "extract", tracked_extract)
     run(PipelineConfig(
         frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
-        defects_path=str(defects_path), kmeans=fast_kmeans(),
+        defects_path=str(defects_path),
     ))
     assert alive_in_extract == [False]
 
@@ -85,7 +81,7 @@ def test_run_emits_all_artifacts(tmp_path):
     _, frame_path, defects_path, _ = small_map(tmp_path)
     result = run(PipelineConfig(
         frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
-        defects_path=str(defects_path), kmeans=fast_kmeans(),
+        defects_path=str(defects_path),
     ))
     for name in ARTIFACT_NAMES:
         assert (tmp_path / "out" / name).is_file()
@@ -103,17 +99,33 @@ def test_run_is_byte_deterministic(tmp_path):
     for name in ("a", "b"):
         run(PipelineConfig(
             frame_path=str(frame_path), output_dir=str(tmp_path / name),
-            defects_path=str(defects_path), kmeans=fast_kmeans(),
+            defects_path=str(defects_path),
         ))
         blobs.append({artifact: (tmp_path / name / artifact).read_bytes() for artifact in ARTIFACT_NAMES})
     assert blobs[0] == blobs[1]
+
+
+def test_run_sweeps_100_directions_with_one_lloyd_run_each(tmp_path, monkeypatch):
+    # The benchmark counts ml._lloyd calls per analyze and expects 100; a
+    # change to the direction count has to change this test too.
+    _, frame_path, _, _ = small_map(tmp_path)
+    calls = []
+    lloyd = ml._lloyd
+
+    def counted(*args):
+        calls.append(None)
+        return lloyd(*args)
+
+    monkeypatch.setattr(ml, "_lloyd", counted)
+    run(PipelineConfig(frame_path=str(frame_path), output_dir=str(tmp_path / "out")))
+    assert len(calls) == 100
 
 
 def test_zero_defect_frame(tmp_path):
     _, frame_path, defects_path, _ = small_map(tmp_path, defect_fraction=0.0)
     result = run(PipelineConfig(
         frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
-        defects_path=str(defects_path), kmeans=fast_kmeans(),
+        defects_path=str(defects_path),
     ))
     assert result.confusion.false_negative_rate == 0.0
     assert result.confusion.false_positive_rate == 0.0
@@ -124,7 +136,7 @@ def test_zero_defect_frame(tmp_path):
 def test_run_without_defect_map_skips_confusion(tmp_path):
     _, frame_path, _, _ = small_map(tmp_path)
     result = run(PipelineConfig(
-        frame_path=str(frame_path), output_dir=str(tmp_path / "out"), kmeans=fast_kmeans(),
+        frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
     ))
     assert result.confusion is None
     assert result.report["confusion"] is None
@@ -136,11 +148,11 @@ def test_explicit_corners_match_auto(tmp_path):
     _, frame_path, defects_path, corners = small_map(tmp_path, rotation_deg=1.0)
     auto = run(PipelineConfig(
         frame_path=str(frame_path), output_dir=str(tmp_path / "auto"),
-        defects_path=str(defects_path), kmeans=fast_kmeans(),
+        defects_path=str(defects_path),
     ))
     explicit = run(PipelineConfig(
         frame_path=str(frame_path), output_dir=str(tmp_path / "explicit"),
-        defects_path=str(defects_path), corners=tuple(corners), kmeans=fast_kmeans(),
+        defects_path=str(defects_path), corners=tuple(corners),
     ))
     assert explicit.confusion.accuracy == auto.confusion.accuracy
     assert abs(explicit.grid_metrics.mean_cell_width - auto.grid_metrics.mean_cell_width) < 0.05
@@ -169,7 +181,7 @@ def test_grid_truth_mismatch_names_stage(tmp_path):
     with pytest.raises(PipelineStageError, match="confusion") as info:
         run(PipelineConfig(
             frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
-            defects_path=str(wrong), kmeans=fast_kmeans(),
+            defects_path=str(wrong),
         ))
     assert "truth map 9x9 does not match grid 16x16" in str(info.value)
 
@@ -185,7 +197,7 @@ def test_failed_run_leaves_no_artifacts(tmp_path, monkeypatch):
     with pytest.raises(PipelineStageError, match="artifacts"):
         run(PipelineConfig(
             frame_path=str(frame_path), output_dir=str(out),
-            defects_path=str(defects_path), kmeans=fast_kmeans(),
+            defects_path=str(defects_path),
         ))
     assert not list(out.iterdir())
 
@@ -201,7 +213,7 @@ def test_interrupt_is_not_wrapped_and_leaves_no_artifacts(tmp_path, monkeypatch)
     with pytest.raises(KeyboardInterrupt):
         run(PipelineConfig(
             frame_path=str(frame_path), output_dir=str(out),
-            defects_path=str(defects_path), kmeans=fast_kmeans(),
+            defects_path=str(defects_path),
         ))
     assert not out.exists() or not list(out.iterdir())
 
@@ -211,7 +223,7 @@ def test_failed_rewrite_keeps_the_earlier_artifact_set(tmp_path, monkeypatch):
     out = tmp_path / "out"
     config = PipelineConfig(
         frame_path=str(frame_path), output_dir=str(out),
-        defects_path=str(defects_path), kmeans=fast_kmeans(),
+        defects_path=str(defects_path),
     )
     run(config)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -244,7 +256,7 @@ def test_report_json_schema(tmp_path):
     _, frame_path, defects_path, _ = small_map(tmp_path)
     result = run(PipelineConfig(
         frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
-        defects_path=str(defects_path), kmeans=fast_kmeans(),
+        defects_path=str(defects_path),
     ))
     on_disk = read_report(tmp_path / "out")
     assert set(result.report) == SUMMARY_SECTIONS
@@ -267,7 +279,7 @@ def test_report_json_schema(tmp_path):
 def test_projection_csvs_conserve_luminance(tmp_path):
     _, frame_path, _, _ = small_map(tmp_path)
     run(PipelineConfig(
-        frame_path=str(frame_path), output_dir=str(tmp_path / "out"), kmeans=fast_kmeans(),
+        frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
     ))
     sums = []
     for name in ("projections_x.csv", "projections_y.csv"):
@@ -280,7 +292,7 @@ def test_overlay_svg_marks_defects(tmp_path):
     _, frame_path, defects_path, _ = small_map(tmp_path)
     result = run(PipelineConfig(
         frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
-        defects_path=str(defects_path), kmeans=fast_kmeans(),
+        defects_path=str(defects_path),
     ))
     svg = (tmp_path / "out" / "overlay.svg").read_text()
     assert svg.startswith("<svg")
@@ -360,7 +372,7 @@ def test_report_json_matches_json_dumps_on_a_run(tmp_path, case):
     _, frame_path, defects_path, _ = small_map(tmp_path, defect_fraction=fraction)
     result = run(PipelineConfig(
         frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
-        defects_path=None if case == "no_truth" else str(defects_path), kmeans=fast_kmeans(),
+        defects_path=None if case == "no_truth" else str(defects_path),
     ))
     cells, truth_cells = result.cells, None
     if case != "no_truth":
@@ -657,8 +669,7 @@ def test_scaling_luminance_scales_the_descriptors_and_keeps_the_classification(t
                                      frame.chroma_x, frame.chroma_y)
         frame_path = tmp_path / f"frame_{c}.ulf"
         io.write_frame(scaled, frame_path)
-        return run(PipelineConfig(str(frame_path), str(tmp_path / f"out_{c}"), str(defects_path),
-                                  kmeans=ml.KMeansConfig(n_init=20)))
+        return run(PipelineConfig(str(frame_path), str(tmp_path / f"out_{c}"), str(defects_path)))
 
     base = analyze(1)
     assert 0 < base.defective.sum() < len(base.defective)
@@ -707,7 +718,7 @@ def test_transposing_the_frame_swaps_the_axes(tmp_path, case):
     def analyze(name, width, height, planes):
         frame_path = tmp_path / f"{name}.ulf"
         io.write_frame(io.MeasurementFrame(width, height, *planes), frame_path)
-        return run(PipelineConfig(str(frame_path), str(tmp_path / name), kmeans=ml.KMeansConfig(n_init=20)))
+        return run(PipelineConfig(str(frame_path), str(tmp_path / name)))
 
     def by_cell(result, swap):
         rows, cols = result.cells.rows, result.cells.cols
