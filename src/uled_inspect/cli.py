@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -82,22 +81,14 @@ def _cmd_generate(args) -> int:
         return EXIT_USAGE
     frame, defects, corners = synthgen.generate(config)
     sidecar = Path(str(args.out_frame) + ".corners.json")
-    # Each output goes to a temporary beside its target; the targets are replaced
-    # only once all three are written, so a failed write leaves them as they were.
-    targets = (Path(args.out_frame), Path(args.out_defects), sidecar)
-    temps = [target.with_name(f".{target.name}.{os.getpid()}.tmp") for target in targets]
     try:
-        io.write_frame(frame, temps[0])
-        io.write_defect_map(defects, temps[1])
-        temps[2].write_text(json.dumps({"corners": corners}) + "\n", encoding="ascii")
-        for temp, target in zip(temps, targets):
-            os.replace(temp, target)
+        with io.replacing((args.out_frame, args.out_defects, sidecar)) as temps:
+            io.write_frame(frame, temps[0])
+            io.write_defect_map(defects, temps[1])
+            temps[2].write_text(json.dumps({"corners": corners}) + "\n", encoding="ascii")
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
     print(
         f"wrote {args.out_frame} ({frame.width}x{frame.height}), "
         f"{args.out_defects} ({defects.defect_count()} defects), {sidecar}"

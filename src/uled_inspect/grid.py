@@ -250,6 +250,8 @@ def detect_edges(projection: np.ndarray, period: float) -> np.ndarray:
     out = np.where(measured, minima, fit_a + fit_b * ks) + 0.5
     if np.any(np.diff(out) <= 0):
         raise GridError("detected edges are not strictly increasing")
+    if out[-1] > len(projection) + 0.5:
+        raise GridError(f"last edge {out[-1]:.2f} lies past the end of the {len(projection)}-bin projection")
     return out
 
 

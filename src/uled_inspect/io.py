@@ -15,6 +15,8 @@ The defect map is a CSV whose first line is ``rows,cols`` followed by one
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -144,6 +146,31 @@ class DefectMap:
         )
 
 
+@contextlib.contextmanager
+def replacing(targets):
+    """Yield one temporary path beside each target; replace the targets by
+    them, in order, once the body returns.  A target that is a directory is
+    rejected, by name, before anything is written.  Each temporary is made
+    empty, named uniquely per call, with the mode open() gives, and unlinked
+    on any exit, KeyboardInterrupt included."""
+    targets = [Path(target) for target in targets]
+    for target in targets:
+        if target.is_dir():
+            raise IsADirectoryError(f"{target} is a directory")
+    temps = []
+    try:
+        for target in targets:
+            temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+            os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            temps.append(temp)
+        yield temps
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
 def write_frame(frame: MeasurementFrame, path) -> None:
     """Write the header, then each plane's float32 samples straight from the
     array (a copy only when a plane is not contiguous little-endian float32),
@@ -187,15 +214,12 @@ def read_defect_map(path) -> DefectMap:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise FrameFormatError(f"{path}: empty defect map")
-    try:
-        rows, cols = (int(part) for part in lines[0].split(","))
-    except ValueError as exc:
-        raise FrameFormatError(f"{path}: bad header line {lines[0]!r}") from exc
-    cells = []
-    for line in lines[1:]:
+    pairs = []
+    for i, line in enumerate(lines):
         try:
             r, c = (int(part) for part in line.split(","))
         except ValueError as exc:
-            raise FrameFormatError(f"{path}: bad cell line {line!r}") from exc
-        cells.append((r, c))
+            raise FrameFormatError(f"{path}: bad {'cell' if i else 'header'} line {line!r}") from exc
+        pairs.append((r, c))
+    (rows, cols), *cells = pairs
     return DefectMap.from_cells(rows, cols, cells)

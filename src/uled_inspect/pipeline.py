@@ -2,10 +2,10 @@
 extraction, classification, and report emission.
 
 A run is deterministic for a given configuration: the report JSON is
-byte-identical across repeated runs.  The artifacts are written into a
-temporary directory inside the output directory and moved into place only once
-all of them are written, so a failed run leaves the output directory's files
-as they were and it never holds a partial or mixed result.
+byte-identical across repeated runs.  The artifacts are published with
+io.replacing, all six or none: an artifact path that is a directory fails the
+run before anything is written, and any failed run leaves the output
+directory's files as they were, never a partial or mixed set.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import os
-import shutil
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
@@ -136,16 +133,9 @@ def _overlay_svg(pixel_grid: grid.PixelGrid, cells: features.CellTable, defectiv
     parts += [
         f"<rect {col_x[c]} {row_y[r]} {col_w[c]} {row_h[r]} {fills[level]}" for r, c, level in zip(rows, cols, heat)
     ]
-    for x in xs:
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{ys[0]:.2f}" x2="{x:.2f}" y2="{ys[-1]:.2f}" '
-            'stroke="#3366cc" stroke-width="0.5"/>'
-        )
-    for y in ys:
-        parts.append(
-            f'<line x1="{xs[0]:.2f}" y1="{y:.2f}" x2="{xs[-1]:.2f}" y2="{y:.2f}" '
-            'stroke="#3366cc" stroke-width="0.5"/>'
-        )
+    stroke = 'stroke="#3366cc" stroke-width="0.5"/>'
+    parts += [f'<line x1="{x:.2f}" y1="{ys[0]:.2f}" x2="{x:.2f}" y2="{ys[-1]:.2f}" {stroke}' for x in xs]
+    parts += [f'<line x1="{xs[0]:.2f}" y1="{y:.2f}" x2="{xs[-1]:.2f}" y2="{y:.2f}" {stroke}' for y in ys]
     for r, c, bad in zip(rows, cols, defective.tolist()):
         if bad:
             parts.append(
@@ -214,7 +204,7 @@ def _report_json(report: dict, cell_text: dict[str, list[str]]) -> Iterator[str]
 
 
 def _artifact_texts(report, cells, defective, truth_cells, proj_x, proj_y, pixel_grid):
-    """(name, text pieces) of every artifact, in ARTIFACT_NAMES order.
+    """The text pieces of every artifact, in ARTIFACT_NAMES order.
 
     Each artifact is made only when the caller asks for the next one, so a
     caller that writes each before it asks holds one at a time; report.json
@@ -223,13 +213,13 @@ def _artifact_texts(report, cells, defective, truth_cells, proj_x, proj_y, pixel
     are made.
     """
     cell_text = _cell_text(cells, defective, truth_cells)
-    yield "report.json", _report_json(report, cell_text)
-    yield "projections_x.csv", [grid.projection_csv(proj_x)]
-    yield "projections_y.csv", [grid.projection_csv(proj_y)]
-    yield "features.csv", [features.to_csv(cell_text)]
+    yield _report_json(report, cell_text)
+    yield [grid.projection_csv(proj_x)]
+    yield [grid.projection_csv(proj_y)]
+    yield [features.to_csv(cell_text)]
     del cell_text
-    yield "grid.json", [pixel_grid.to_json() + "\n"]
-    yield "overlay.svg", [_overlay_svg(pixel_grid, cells, defective)]
+    yield [pixel_grid.to_json() + "\n"]
+    yield [_overlay_svg(pixel_grid, cells, defective)]
 
 
 def run(config: PipelineConfig) -> ClassificationReport:
@@ -305,18 +295,11 @@ def run(config: PipelineConfig) -> ClassificationReport:
     out_dir = Path(config.output_dir)
     with _stage("artifacts"):
         out_dir.mkdir(parents=True, exist_ok=True)
-        # Staged inside out_dir, not beside it, so the renames never cross a
-        # filesystem boundary (out_dir may be a mount point) and need no write
-        # access to its parent.
-        staging = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
-        try:
-            for name, pieces in _artifact_texts(report, cells, defective, truth_cells, proj_x, proj_y, pixel_grid):
-                with (staging / name).open("w", encoding="ascii") as f:
+        texts = _artifact_texts(report, cells, defective, truth_cells, proj_x, proj_y, pixel_grid)
+        with io.replacing(out_dir / name for name in ARTIFACT_NAMES) as temps:
+            for temp, pieces in zip(temps, texts):
+                with temp.open("w", encoding="ascii") as f:
                     f.writelines(pieces)
-            for name in ARTIFACT_NAMES:
-                os.replace(staging / name, out_dir / name)
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
 
     return ClassificationReport(
         report=report,

@@ -66,6 +66,24 @@ def test_generate_failed_write_leaves_the_earlier_outputs(generated, tmp_path, c
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+def test_generate_onto_a_directory_exits_1_and_names_it(generated, tmp_path, capsys):
+    # The directory is rejected before anything is written, so the earlier
+    # frame and its corner sidecar stay as they were.
+    config, frame, _ = generated
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    code = main([
+        "generate", "--config", str(config), "--seed", "5",
+        "--out-frame", str(frame), "--out-defects", str(taken),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cannot write outputs" in err and str(taken) in err and ".tmp" not in err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path != taken} == before
+    assert not list(taken.iterdir())
+
+
 def test_generate_missing_config_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--out-frame", "a", "--out-defects", "b"])

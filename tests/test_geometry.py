@@ -163,6 +163,28 @@ def test_singular_matrix_rejected():
         Homography(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
+def adjugate_by_minors(m):
+    """The adjugate from its nine signed 2x2 minors, each cut out with np.delete."""
+    out = np.empty((3, 3))
+    for r in range(3):
+        for c in range(3):
+            minor = np.delete(np.delete(m, r, axis=0), c, axis=1)
+            out[c, r] = (-1) ** (r + c) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
+    return out
+
+
+def test_adjugate_matches_the_minors():
+    # Random matrices, and small-integer ones full of zeros, where the cross
+    # products may differ from the minors in the sign of a zero, which
+    # np.array_equal counts as equal.
+    rng = np.random.default_rng(23)
+    small = rng.integers(-2, 3, size=(2000, 3, 3)).astype(np.float64)
+    cases = [np.eye(3), *rng.normal(size=(2000, 3, 3)), *small]
+    for m in cases:
+        assert np.array_equal(geometry._adjugate(m), adjugate_by_minors(m))
+    assert np.array_equal(Homography.identity().inverse().matrix, np.eye(3))
+
+
 def test_warp_identity_is_exact():
     rng = np.random.default_rng(2)
     frame = make_frame(rng.uniform(0, 80, size=(15, 20)))

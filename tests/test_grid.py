@@ -197,7 +197,8 @@ def reference_window_minimum(smoothed, nominal, half_width, lo, hi, paths=None):
 
 def reference_detect_edges(projection, period, paths=None):
     """detect_edges as it was before the valley table: one window scan per
-    tooth and a dict of measured teeth refitted with del.  paths, when given,
+    tooth and a dict of measured teeth refitted with del, with the same bound
+    on the last edge.  paths, when given,
     counts the flat-bottomed valleys taken, the outliers deleted and the
     refits skipped for fewer than 2 measured teeth."""
     if period <= grid._MIN_LAG - 1:
@@ -234,6 +235,8 @@ def reference_detect_edges(projection, period, paths=None):
     out = np.asarray(edges)
     if np.any(np.diff(out) <= 0):
         raise GridError("detected edges are not strictly increasing")
+    if out[-1] > len(projection) + 0.5:
+        raise GridError(f"last edge {out[-1]:.2f} lies past the end of the {len(projection)}-bin projection")
     return out
 
 

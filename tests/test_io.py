@@ -258,3 +258,50 @@ def test_read_defect_map_malformed_names_the_path(tmp_path, text, reason):
     with pytest.raises(FrameFormatError) as exc:
         io.read_defect_map(path)
     assert str(exc.value) == f"{path}: {reason}"
+
+
+def test_replacing_publishes_the_targets_only_when_the_body_returns(tmp_path):
+    old, new = tmp_path / "old.txt", tmp_path / "sub" / "new.txt"
+    new.parent.mkdir()
+    old.write_text("before")
+    with io.replacing([old, str(new)]) as temps:
+        assert [t.parent for t in temps] == [tmp_path, new.parent]
+        assert all(t.is_file() and t.stat().st_size == 0 for t in temps)
+        for temp, text in zip(temps, ("after", "fresh")):
+            temp.write_text(text)
+        assert old.read_text() == "before" and not new.exists()
+    assert (old.read_text(), new.read_text()) == ("after", "fresh")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["new.txt", "old.txt", "sub"]
+
+
+def test_replacing_names_its_temporaries_per_call_with_the_mode_open_gives(tmp_path):
+    target, plain = tmp_path / "a.txt", tmp_path / "plain.txt"
+    plain.write_text("")
+    with io.replacing([target]) as (first,), io.replacing([target]) as (second,):
+        assert first != second
+        assert first.stat().st_mode == second.stat().st_mode == plain.stat().st_mode
+        first.write_text("first")
+        second.write_text("second")
+    # The inner call publishes first, so the outer one's file is what stays.
+    assert target.read_text() == "first"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "plain.txt"]
+
+
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+def test_replacing_leaves_the_targets_when_the_body_fails(tmp_path, error):
+    target = tmp_path / "a.txt"
+    target.write_text("before")
+    with pytest.raises(error):
+        with io.replacing([target, tmp_path / "b.txt"]) as temps:
+            temps[0].write_text("after")
+            raise error
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+    assert target.read_text() == "before"
+
+
+def test_replacing_rejects_a_directory_target_before_writing(tmp_path):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(IsADirectoryError, match="taken"):
+        with io.replacing([tmp_path / "a.txt", tmp_path / "taken"]):
+            raise AssertionError("the body must not run")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]

@@ -11,6 +11,8 @@ from uled_inspect import features, grid, io, ml, pipeline, synthgen
 from uled_inspect.errors import ConfigError, PipelineStageError
 from uled_inspect.pipeline import ARTIFACT_NAMES, PipelineConfig, run
 
+from conftest import acceptance_config
+
 
 def small_map(tmp_path, **overrides):
     params = dict(
@@ -250,6 +252,40 @@ def test_failed_rewrite_keeps_the_earlier_artifact_set(tmp_path, monkeypatch):
     # beside out/.
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["out"]
+
+
+def test_directory_at_an_artifact_path_fails_before_any_rewrite(tmp_path):
+    # A run on another frame must not replace the five files beside a
+    # directory named overlay.svg, nor leave a temporary behind.
+    _, frame_path, defects_path, _ = small_map(tmp_path)
+    out = tmp_path / "out"
+    run(PipelineConfig(frame_path=str(frame_path), output_dir=str(out), defects_path=str(defects_path)))
+    (out / "overlay.svg").unlink()
+    (out / "overlay.svg").mkdir()
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    (tmp_path / "other").mkdir()
+    _, frame_path, defects_path, _ = small_map(tmp_path / "other", seed=43)
+    with pytest.raises(PipelineStageError) as info:
+        run(PipelineConfig(frame_path=str(frame_path), output_dir=str(out), defects_path=str(defects_path)))
+    assert info.value.stage == "artifacts"
+    assert str(out / "overlay.svg") in str(info.value)
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACT_NAMES)
+    assert not list((out / "overlay.svg").iterdir())
+
+
+def test_grid_running_off_the_frame_fails_in_reconstruct_grid(tmp_path):
+    # At the map-202 pose with 40% defects the edge comb of a 30x30-cell
+    # frame runs past the rectified frame; detect_edges rejects it, so the
+    # features stage never sees it.
+    frame, _, _ = synthgen.generate(acceptance_config(
+        grid_rows=30, grid_cols=30, rotation_deg=1.0, perspective_strength=0.012, seed=202,
+        defect_fraction=0.4,
+    ))
+    io.write_frame(frame, tmp_path / "frame.ulf")
+    with pytest.raises(PipelineStageError, match="past the end of the") as info:
+        run(PipelineConfig(frame_path=str(tmp_path / "frame.ulf"), output_dir=str(tmp_path / "out")))
+    assert info.value.stage == "reconstruct_grid"
 
 
 def test_report_json_schema(tmp_path):
