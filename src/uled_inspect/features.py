@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FeatureExtractionError, ValidationError
 from .grid import PixelGrid
@@ -81,10 +82,12 @@ def _sample_ranges(edges: np.ndarray, n_samples: int) -> tuple[np.ndarray, np.nd
 def extract(frame: MeasurementFrame, grid: PixelGrid) -> CellTable:
     """Descriptors for every interior cell, row-major.
 
-    Cells are gathered in groups of one block shape, so each statistic is one
-    reduction per group over an (n, h, w) array.  The results are
-    bit-identical to reducing each cell's block on its own; the tests keep
-    that per-cell loop as the reference.
+    Cells are gathered in groups of one block shape (h, w): indexing the
+    plane's sliding_window_view of that shape at the cells' top-left corners
+    copies their blocks into one (n, h, w) array, so each statistic is one
+    reduction per group.  The results are bit-identical to reducing each
+    cell's block on its own; the tests keep that per-cell loop as the
+    reference.
 
     Raises FeatureExtractionError when a cell retains no samples after the
     margin, naming the first such cell.
@@ -110,14 +113,13 @@ def extract(frame: MeasurementFrame, grid: PixelGrid) -> CellTable:
     values[:, 4:] = NEUTRAL_CHROMA  # kept by a luminance-only frame
     shape_key = heights * (widths.max() + 1) + widths  # sorts as (h, w) does
     for first in np.unique(shape_key, return_index=True)[1].tolist():
-        group, h, w = np.flatnonzero(shape_key == shape_key[first]), heights[first], widths[first]
-        ys = (j0[group, None] + np.arange(h))[:, :, None]
-        xs = (i0[group, None] + np.arange(w))[:, None, :]
-        lum = luminance[ys, xs].astype(np.float64)
+        group = np.flatnonzero(shape_key == shape_key[first])
+        shape, corners = (heights[first], widths[first]), (j0[group], i0[group])
+        lum = sliding_window_view(luminance, shape)[corners].astype(np.float64)
         for k, reduce in enumerate((np.mean, np.max, np.min, np.std)):
             values[group, k] = reduce(lum, axis=(1, 2))
         for k, plane in enumerate(chroma, start=4):
-            values[group, k] = plane[ys, xs].astype(np.float64).mean(axis=(1, 2))
+            values[group, k] = sliding_window_view(plane, shape)[corners].astype(np.float64).mean(axis=(1, 2))
     return CellTable(rows=rows, cols=cols, values=values)
 
 

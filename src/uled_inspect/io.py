@@ -63,10 +63,10 @@ class MeasurementFrame:
                     break
             plane = _as_plane(getattr(self, name), self.height, self.width, name)
             object.__setattr__(self, name, plane)
-            # NaN fails both comparisons; +-inf fails one.
-            bad = ~((plane >= 0) & (plane <= high))
-            if bad.any():
-                idx = int(np.argmax(bad))
+            # min and max keep a NaN, which fails both tests; the per-sample
+            # mask is built only to name the first bad sample.
+            if not (plane.min() >= 0 and plane.max() <= high):
+                idx = int(np.argmax(~((plane >= 0) & (plane <= high))))
                 raise ValidationError(f"{name} sample at flat index {idx} is {plane.flat[idx]!r}; {rule}")
 
     @property

@@ -43,7 +43,7 @@ class PipelineConfig:
     output_dir: str
     defects_path: str | None = None
     corners: tuple[tuple[float, float], ...] | None = None
-    threads: int = 1
+    threads: int = 1  # passed to ml.kmeans_fit, which accepts it with no effect
 
     def __post_init__(self):
         if self.corners is not None:

@@ -228,17 +228,31 @@ def test_feature_matrix_shape_and_order():
     assert table.column("max_l").tolist() == [12.0, 22.0]
 
 
-def test_extract_matches_per_cell_loop_with_several_block_shapes():
-    # Non-uniform pitch with chroma planes: cells come in several block shapes.
+def several_block_shapes():
+    """Colour planes (lum, cx, cy) and a non-uniform pitch grid whose cells
+    come in several block shapes."""
     rng = np.random.default_rng(11)
     xs = np.cumsum(np.concatenate([[0.3], rng.uniform(7.6, 9.4, size=9)]))
     ys = np.cumsum(np.concatenate([[0.7], rng.uniform(6.6, 8.0, size=8)]))
     height, width = int(ys[-1]) + 2, int(xs[-1]) + 3
-    lum = rng.uniform(0, 300, size=(height, width)).astype(np.float32)
-    cx = rng.uniform(0, 1, size=(height, width)).astype(np.float32)
-    cy = rng.uniform(0, 1, size=(height, width)).astype(np.float32)
-    frame = features.MeasurementFrame(width, height, lum, cx, cy)
-    assert_matches_reference(frame, grid.build_grid(xs, ys), min_shapes=3)
+    planes = [rng.uniform(0, high, size=(height, width)).astype(np.float32) for high in (300, 1, 1)]
+    return planes, grid.build_grid(xs, ys)
+
+
+def test_extract_matches_per_cell_loop_with_several_block_shapes():
+    planes, g = several_block_shapes()
+    assert_matches_reference(make_frame(*planes), g, min_shapes=3)
+
+
+@pytest.mark.parametrize("mirror", [np.s_[:, ::-1], np.s_[::-1]], ids=["left-right", "up-down"])
+def test_extract_matches_per_cell_loop_on_negative_stride_planes(mirror):
+    # MeasurementFrame keeps a mirrored view as it is (the mirror probes of
+    # the pipeline tests feed such views in), so the windows are gathered
+    # from planes with a negative stride.
+    planes, g = several_block_shapes()
+    frame = make_frame(*(plane[mirror] for plane in planes))
+    assert all(min(plane.strides) < 0 for plane in frame.planes)
+    assert_matches_reference(frame, g, min_shapes=3)
 
 
 def test_extract_matches_per_cell_loop_on_luminance_only_frame():

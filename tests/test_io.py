@@ -121,8 +121,10 @@ def test_chroma_planes_all_or_nothing():
         io.MeasurementFrame(1, 1, lum, np.array([[0.5]]), None)
 
 
-BAD_SAMPLES = [("luminance", v) for v in (-1.0, float("nan"), float("inf"))] + [
-    (name, v) for name in ("chroma_x", "chroma_y") for v in (-0.1, 1.5, float("nan"), float("inf"))
+BAD_SAMPLES = [("luminance", v) for v in (-1.0, float("nan"), float("inf"), float("-inf"))] + [
+    (name, v)
+    for name in ("chroma_x", "chroma_y")
+    for v in (-0.1, 1.5, float("nan"), float("inf"), float("-inf"))
 ]
 RULES = {"luminance": "must be finite and >= 0", "chroma_x": "must lie in [0, 1]", "chroma_y": "must lie in [0, 1]"}
 
@@ -142,6 +144,28 @@ def test_bad_plane_sample_message(name, value):
     with pytest.raises(ValidationError) as exc:
         io.MeasurementFrame(3, 2, **planes)
     assert str(exc.value) == f"{name} sample at flat index 4 is {np.float32(value)!r}; {RULES[name]}"
+
+
+@pytest.mark.parametrize("name", ["luminance", "chroma_x", "chroma_y"])
+def test_first_bad_sample_named_before_a_later_nan(name):
+    # The plane's max is NaN, but the message names the earlier negative sample.
+    planes = valid_planes()
+    planes[name][0, 1] = -0.5
+    planes[name][1, 0] = np.nan
+    with pytest.raises(ValidationError) as exc:
+        io.MeasurementFrame(3, 2, **planes)
+    assert str(exc.value) == f"{name} sample at flat index 1 is {np.float32(-0.5)!r}; {RULES[name]}"
+
+
+def test_plane_bounds_are_inclusive():
+    planes = valid_planes()
+    planes["luminance"][0, 0] = -0.0
+    planes["chroma_x"][0] = 0.0
+    planes["chroma_x"][1] = 1.0
+    planes["chroma_y"][0] = 1.0
+    planes["chroma_y"][1] = 0.0
+    frame = io.MeasurementFrame(3, 2, **planes)
+    assert [p.tobytes() for p in frame.planes] == [planes[n].tobytes() for n in ("luminance", "chroma_x", "chroma_y")]
 
 
 @pytest.mark.parametrize("present", ["chroma_x", "chroma_y"])

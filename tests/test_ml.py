@@ -320,7 +320,8 @@ def test_kmeans_matches_exhaustive_oracle():
 def test_kmeans_parallel_equals_sequential():
     rng = np.random.default_rng(12)
     small = np.concatenate([rng.normal(size=(120, 2)), rng.normal(size=(40, 2)) + 12.0])
-    # at benchmark size every restart runs long enough to overlap the others
+    # threads is accepted with no effect: both fits sweep the directions in
+    # order on the calling thread, at a small and at benchmark size
     for Y in (small, scores_like_dense()):
         sequential = kmeans_fit(Y, threads=1)
         parallel = kmeans_fit(Y, threads=4)
@@ -344,9 +345,9 @@ def test_kmeans_peak_does_not_grow_with_restarts(threads):
         tracemalloc.stop()
 
     # A restart's working set is a few float64 and int64 columns of n; the
-    # fit keeps only the best restart's labels, not one array per restart.
-    # The peak reads about 10 columns at 1 thread and 19 at 2; keeping all
-    # 100 results read about 108.
+    # sequential sweep holds one restart's at a time and keeps only the best
+    # restart's labels, not one array per restart.  The peak reads about 10
+    # columns at either thread count; keeping all 100 results read about 108.
     assert peak < 32 * 8 * n, f"{peak / (8 * n):.1f} columns of n"
     assert model.centroids.tobytes() == expected.centroids.tobytes()
     assert model.labels.tobytes() == expected.labels.tobytes()
