@@ -213,10 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="run the full analysis pipeline on a frame")
     ana.add_argument("--frame", required=True, help="input ULF1 frame")
     ana.add_argument("--defects", default=None, help="optional ground-truth defect CSV")
-    corner_mode = ana.add_mutually_exclusive_group()
-    corner_mode.add_argument("--corners", default=None, help="x1,y1,...,x4,y4 explicit LES corners")
-    corner_mode.add_argument(
-        "--auto-corners", action="store_true", help="detect corners automatically (default)"
+    ana.add_argument(
+        "--corners", default=None, help="x1,y1,...,x4,y4 explicit LES corners (default: detected)"
     )
     ana.add_argument("--out", required=True, help="output directory for artifacts")
     ana.set_defaults(func=_cmd_analyze)

@@ -256,12 +256,16 @@ def detect_edges(projection: np.ndarray, period: float) -> np.ndarray:
 
 
 def build_grid(x_edges, y_edges) -> PixelGrid:
-    """Assemble a PixelGrid, rejecting non-monotonic or outlier spacings."""
+    """Assemble a PixelGrid, rejecting non-finite edges and non-monotonic or
+    outlier spacings."""
     grids = []
     for name, edges in (("x", x_edges), ("y", y_edges)):
         arr = np.asarray(edges, dtype=np.float64)
         if arr.ndim != 1 or len(arr) < 2:
             raise GridError(f"{name}_edges needs at least 2 entries")
+        if not np.all(np.isfinite(arr)):
+            idx = int(np.argmax(~np.isfinite(arr)))
+            raise GridError(f"{name}_edges[{idx}] is not finite ({arr[idx]})")
         spacing = np.diff(arr)
         if np.any(spacing <= 0):
             idx = int(np.argmax(spacing <= 0))

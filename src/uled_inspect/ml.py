@@ -9,8 +9,11 @@ and defective cells) on the two PCA score columns.
 
 The best two-cluster partition is a threshold split along some direction
 (Inaba, Katoh & Imai 1994), so a fit starts Lloyd from the best split along
-each of _DIRECTIONS angles and keeps the lowest inertia.  It draws no random
-numbers and runs on the calling thread.
+each of _DIRECTIONS angles and keeps the lowest inertia.  A Lloyd run ends at
+the first assignment that repeats the one before or leaves a cluster empty,
+or after _MAX_ITER iterations; no exit depends on how far the centroids
+moved, so the fit does not depend on the scale of its input.  It draws no
+random numbers and runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -23,12 +26,10 @@ import numpy as np
 
 from .errors import MlError
 
-# Lloyd stops after _MAX_ITER iterations or once the centroids move less than
-# _TOL in summed squared distance.  Its _CLUSTERS are functional and defective
-# cells.  A fit starts it once in each of _DIRECTIONS directions, from a cut at
-# one of the edges of _BINS equal-width bins.
+# Lloyd runs at most _MAX_ITER iterations.  Its _CLUSTERS are functional and
+# defective cells.  A fit starts it once in each of _DIRECTIONS directions,
+# from a cut at one of the edges of _BINS equal-width bins.
 _MAX_ITER = 300
-_TOL = 1e-8
 _CLUSTERS = 2
 _DIRECTIONS = 100
 _BINS = 64
@@ -105,22 +106,6 @@ def _squared_distances(columns: np.ndarray, center: np.ndarray) -> np.ndarray:
     return (columns[0] - center[0]) ** 2 + (columns[1] - center[1]) ** 2
 
 
-def _assign(columns: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid of every point, centroid 0 on ties, and its squared distance."""
-    point_d2 = _squared_distances(columns, centroids[0])
-    d2 = _squared_distances(columns, centroids[1])
-    labels = (d2 < point_d2).astype(np.int64)
-    np.minimum(point_d2, d2, out=point_d2)
-    return labels, point_d2
-
-
-def _cluster_sums(columns: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Point count and column sums of each cluster, added in point order."""
-    ones = np.count_nonzero(labels)
-    sums = [np.bincount(labels, weights=column, minlength=_CLUSTERS) for column in columns]
-    return np.array([len(labels) - ones, ones]), np.stack(sums, axis=1)
-
-
 def _threshold_split(columns: np.ndarray, angle: float) -> np.ndarray:
     """Labels of the lowest-inertia cut at a bin edge of the projection onto angle.
 
@@ -146,9 +131,23 @@ def _threshold_split(columns: np.ndarray, angle: float) -> np.ndarray:
     return (bins > np.argmax(between)).astype(np.int64)
 
 
-def _lloyd(columns: np.ndarray, start: np.ndarray):
+def _lloyd(columns: np.ndarray, labels: np.ndarray):
     """Two-cluster Lloyd on the (2, n) C-contiguous columns of Y, from the
-    means of the partition `start` (labels 0 and 1, neither cluster empty).
+    partition `labels` (labels 0 and 1, neither cluster empty).
+
+    An iteration takes the means of the labels, the squared distances to
+    both, the new labels and their inertia.  It returns these at the first
+    of three exits:
+    - the assignment repeats the one before (the start included), so its
+      means would reproduce the centroids bit for bit;
+    - the assignment leaves a cluster empty.  Distinct means keep both
+      clusters non-empty (over cluster j, sum(d_j - d_other) =
+      -n_j * |c_j - c_other|^2 < 0), so this needs centres that coincide,
+      ties then putting every point in cluster 0, or lie within rounding of
+      each other;
+    - _MAX_ITER iterations ran, the start's means being the first.
+    No exit measures how far the centroids moved, so Y scaled by a power of
+    two gives the same labels and the inertia scaled by its square.
 
     The result is bit-identical to the row-wise form (an n x 2 distance matrix
     summed over axis 2, argmin, and Y[labels == j].mean(axis=0); kept in
@@ -162,39 +161,26 @@ def _lloyd(columns: np.ndarray, start: np.ndarray):
       does, and the sum is divided by the count as mean does;
     - no distance is NaN, on which < and argmin would disagree, because
       kmeans_fit rejects non-finite input.
-    A run returns once an assignment repeats one with no empty cluster (the
-    start counts): its means would reproduce the centroids bit for bit.
-    Two distinct means keep both clusters non-empty (over the points of
-    cluster j, sum(d_j - d_other) = -n_j * |c_j - c_other|^2 < 0), so a
-    cluster empties only when the centres coincide; its centre moves to the
-    farthest point.
     """
-    counts, sums = _cluster_sums(columns, start)
-    centroids = sums / counts[:, None]
-    labels, point_d2 = _assign(columns, centroids)
-    previous_inertia, repeated = np.inf, np.array_equal(labels, start)
+    n, ones = len(labels), np.count_nonzero(labels)
+    previous_inertia = np.inf
     for _ in range(_MAX_ITER):
-        inertia = float(point_d2.sum())
+        sums = [np.bincount(labels, weights=column, minlength=_CLUSTERS) for column in columns]
+        centroids = np.stack(sums, axis=1) / np.array([[n - ones], [ones]])
+        d0 = _squared_distances(columns, centroids[0])
+        d1 = _squared_distances(columns, centroids[1])
+        new_labels = (d1 < d0).astype(np.int64)
+        np.minimum(d0, d1, out=d0)
+        inertia = float(d0.sum())
         if inertia > previous_inertia * (1 + 1e-12) + 1e-12:
             raise MlError(f"Lloyd inertia increased from {previous_inertia!r} to {inertia!r}")
-        if repeated:
-            return centroids, labels, inertia
-        previous_inertia = inertia
-
-        counts, sums = _cluster_sums(columns, labels)
-        present = counts > 0
-        new_centroids = centroids.copy()
-        new_centroids[present] = sums[present] / counts[present, None]
-        if not present.all():
-            new_centroids[~present] = columns[:, np.argmax(point_d2)]
-        movement = float(np.sum((new_centroids - centroids) ** 2))
-        centroids = new_centroids
-        new_labels, point_d2 = _assign(columns, centroids)
-        repeated = present.all() and np.array_equal(new_labels, labels)
-        labels = new_labels
-        if movement < _TOL:
+        if np.array_equal(new_labels, labels):
             break
-    return centroids, labels, float(point_d2.sum())
+        ones = np.count_nonzero(new_labels)
+        if ones in (0, n):
+            break
+        labels, previous_inertia = new_labels, inertia
+    return centroids, new_labels, inertia
 
 
 def kmeans_fit(Y: np.ndarray, threads: int = 1) -> KMeansModel:

@@ -285,17 +285,12 @@ def test_analyze_explicit_corners(generated, tmp_path, capsys):
     assert "accuracy=" in capsys.readouterr().out
 
 
-def test_analyze_auto_corners_flag(generated, tmp_path, capsys):
-    _, frame, _ = generated
-    code = main([
-        "analyze", "--frame", str(frame), "--auto-corners",
-        "--out", str(tmp_path / "out"),
-    ])
-    assert code == 0
+def test_analyze_auto_corners_flag_is_gone(capsys):
+    # Corner detection is what analyze does without --corners.
     with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--frame", str(frame), "--auto-corners",
-              "--corners", "0,0,1,0,1,1,0,1", "--out", str(tmp_path / "out2")])
-    assert exc.value.code == 2  # mutually exclusive
+        main(["analyze", "--frame", "f", "--out", "o", "--auto-corners"])
+    assert exc.value.code == 2
+    assert "--auto-corners" in capsys.readouterr().err
 
 
 def test_analyze_bad_corners_exits_2(generated, tmp_path, capsys):

@@ -372,6 +372,18 @@ def test_build_grid_non_monotonic_rejected():
         build_grid([0.0, 26.0, 26.0], [0.0, 26.0, 52.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_build_grid_non_finite_edge_rejected(axis, bad):
+    # NaN compares false with everything, so the spacing checks alone let it
+    # through; an infinite edge makes an infinite or NaN spacing.
+    edges = [0.0, 10.0, 20.0, 30.0, 40.0]
+    faulty = edges[:2] + [bad] + edges[3:]
+    x, y = (faulty, edges) if axis == "x" else (edges, faulty)
+    with pytest.raises(GridError, match=rf"^{axis}_edges\[2\] is not finite"):
+        build_grid(x, y)
+
+
 def test_build_grid_too_few_edges():
     with pytest.raises(GridError, match="at least 2"):
         build_grid([0.0], [0.0, 1.0])

@@ -61,70 +61,69 @@ class ReferenceRun(NamedTuple):
     centroids: np.ndarray
     labels: np.ndarray
     inertia: float
-    emptied: bool  # a cluster came out empty in some iteration
-    iterations: int  # centroid updates made, the last one included
+    iterations: int  # assignments made, the one to the start's means included
     stop: str  # how the loop ended, see reference_lloyd
+    small_move_relabelled: bool  # see reference_lloyd
 
 
 def split_means(Y, labels):
     return np.array([Y[labels == j].mean(axis=0) for j in range(2)])
 
 
-def reference_lloyd(Y, centroids, max_iter, tol, start=None):
-    """The row-wise Lloyd loop ml._lloyd replaced: the full n x 2 distance
-    matrix, argmin, and one boolean-mask mean per cluster, from `centroids`,
-    run to its movement or iteration-cap exit and then assigned once more.
-    `start`, when given, is the partition whose means the centroids are; it
-    counts as the assignment before the first.
+def reference_lloyd(Y, start, max_iter):
+    """The row-wise Lloyd loop ml._lloyd must equal: from the partition
+    `start`, one boolean-mask mean per cluster, the full n x 2 distance
+    matrix and argmin, returning the last means, labels and inertia.
 
-    stop is "repeat" when the last assignment equals the one before and that
-    one left no cluster empty, which must give movement 0; "relabel" when
-    0 < movement < tol after the assignment changed; "tol" for any other
-    movement exit (the first iteration, or after a re-seed); "cap" when
-    max_iter updates ran without a movement exit."""
-    k = len(centroids)
-    emptied = False
-    stop = "cap"
-    previous_labels, previous_full = start, start is not None
-    for iteration in range(max_iter):
+    stop is "repeat" when the assignment equals the one before (the start
+    included), "cluster j empty" when it leaves cluster j empty, and "cap"
+    when max_iter assignments ran without either.  small_move_relabelled
+    is True when some update moved the centroids less than 1e-8 in summed
+    squared distance and the assignment after it still changed: a loop with
+    a movement tolerance would have stopped there."""
+    labels, previous = start, None
+    stop, small_move_relabelled = "cap", False
+    for iteration in range(1, max_iter + 1):
+        centroids = split_means(Y, labels)
+        d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        inertia = float(d2[np.arange(len(Y)), new_labels].sum())
+        relabelled = not np.array_equal(new_labels, labels)
+        if previous is not None and relabelled and np.sum((centroids - previous) ** 2) < 1e-8:
+            small_move_relabelled = True
+        empty = [j for j in range(2) if not np.any(new_labels == j)]
+        if not relabelled or empty:
+            stop = f"cluster {empty[0]} empty" if relabelled else "repeat"
+            break
+        labels, previous = new_labels, centroids
+    return ReferenceRun(centroids, new_labels, inertia, iteration, stop, small_move_relabelled)
+
+
+def tolerance_lloyd_inertia(Y, centroids):
+    """The Lloyd loop of the k-means++ fit ml.kmeans_fit once made, from
+    `centroids`: at most 300 updates, ending once the centroids move less
+    than 1e-8 in summed squared distance, an emptied cluster's centre moved
+    to the point farthest from its own; the inertia of one more assignment."""
+    for _ in range(300):
         d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
-        point_d2 = d2[np.arange(len(Y)), labels]
         new_centroids = centroids.copy()
-        for j in range(k):
+        for j in range(2):
             members = labels == j
-            if members.any():
-                new_centroids[j] = Y[members].mean(axis=0)
-        empties = [j for j in range(k) if not np.any(labels == j)]
-        if empties:
-            emptied = True
-            claimable = point_d2.copy()
-            for j in empties:
-                far = int(np.argmax(claimable))
-                new_centroids[j] = Y[far]
-                claimable[far] = -np.inf
+            new_centroids[j] = Y[members].mean(axis=0) if members.any() else Y[np.argmax(d2.min(axis=1))]
         movement = float(np.sum((new_centroids - centroids) ** 2))
         centroids = new_centroids
-        if movement < tol:
-            relabelled = previous_labels is not None and not np.array_equal(labels, previous_labels)
-            if previous_full and not relabelled:
-                assert movement == 0.0
-                stop = "repeat"
-            else:
-                stop = "relabel" if relabelled and movement > 0.0 else "tol"
+        if movement < 1e-8:
             break
-        previous_labels, previous_full = labels, not empties
     d2 = np.sum((Y[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(len(Y)), labels].sum())
-    return ReferenceRun(centroids, labels, inertia, emptied, iteration + 1, stop)
+    return float(d2.min(axis=1).sum())
 
 
 def reference_best_of_kmeans_plusplus(Y, restarts=100, seed=8):
     """The lowest inertia of `restarts` k-means++ seeded Lloyd runs, restart r
     seeded with output r of the stream of `seed`: the fit ml.kmeans_fit made
     before it swept directions."""
-    return min(reference_lloyd(Y, reference_kmeans_plusplus(Y, 2, s), 300, 1e-8).inertia
+    return min(tolerance_lloyd_inertia(Y, reference_kmeans_plusplus(Y, 2, s))
                for s in reference_raw(seed, restarts))
 
 
@@ -355,25 +354,32 @@ def test_kmeans_peak_does_not_grow_with_restarts(threads):
 
 
 def lloyd_oracle_cases():
-    """name -> (Y, starting partitions, iteration cap, what one run at least
-    must take: a reference stop, "emptied" or None)."""
+    """name -> (Y, starting partitions, iteration cap, the stop or tag (see
+    reference_lloyd) one run at least must take, or None)."""
     rng = np.random.default_rng(15)
     dense = scores_like_dense()
     # a long thin cloud: splits across it start far from a fixed point
     stretched = rng.normal(size=(2_000, 2)) * [30.0, 0.2] + [-40.0, 25.0]
-    # one position: every direction projects it to one value, the last
-    # point alone starts as cluster 1, and that cluster empties
+    # one position: every direction projects it to one value and the last
+    # point alone starts as cluster 1.  The 29 others average to a few ulps
+    # off the point, so every point is strictly nearer the lone point's
+    # centre and cluster 0 comes out empty.
     identical = np.repeat([[0.1, -0.7]], 30, axis=0)
-    # one small blob: labels still change when the centroids move < 1e-8
+    # the same with values whose mean is exact: the centres coincide and
+    # every point ties into cluster 0
+    coinciding = np.repeat([[0.5, -0.25]], 30, axis=0)
+    # one small blob: labels still change after the centroids move < 1e-8,
+    # where a movement tolerance would have stopped
     small_blob = rng.normal(size=(2_000, 2)) * 0.01
     two = np.array([[0.0, 0.0], [5.0, 5.0]])
     # the start's means are -1 and 1, so its four points at 0 tie
     ties = np.column_stack([[-3.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 3.0], np.zeros(8)])
     return {
         "dense_k2": (dense, direction_splits(dense, 12), 300, "repeat"),
-        "identical": (identical, direction_splits(identical, 6), 300, "emptied"),
+        "identical": (identical, direction_splits(identical, 6), 300, "cluster 0 empty"),
+        "coinciding": (coinciding, direction_splits(coinciding, 6), 300, "cluster 1 empty"),
         "n_equals_k": (two, direction_splits(two, 20), 300, None),
-        "tol_after_relabel": (small_blob, direction_splits(small_blob, 12), 300, "relabel"),
+        "small_blob": (small_blob, direction_splits(small_blob, 12), 300, "small_move_relabelled"),
         "cap_1": (stretched, direction_splits(stretched, 6), 1, "cap"),
         "cap_2": (stretched, direction_splits(stretched, 6), 2, "cap"),
         "ties": (ties, [np.repeat([0, 1], 4)], 300, None),
@@ -388,11 +394,11 @@ def test_lloyd_matches_row_wise_reference_bit_for_bit(case, monkeypatch):
     taken = set()
     for r, split in enumerate(splits):
         centroids, labels, inertia = ml._lloyd(columns, split)
-        ref = reference_lloyd(Y, split_means(Y, split), max_iter, 1e-8, start=split)
+        ref = reference_lloyd(Y, split, max_iter)
         assert centroids.tobytes() == ref.centroids.tobytes(), r
         assert labels.tobytes() == ref.labels.tobytes(), r
         assert inertia == ref.inertia, r
-        taken |= {ref.stop, "emptied"} if ref.emptied else {ref.stop}
+        taken |= {ref.stop, "small_move_relabelled"} if ref.small_move_relabelled else {ref.stop}
     assert must_take is None or must_take in taken, taken
 
 
@@ -418,11 +424,9 @@ def test_threshold_split_is_the_best_bin_edge_cut():
 
 
 def test_lloyd_computes_each_assignment_once(monkeypatch):
-    # The start's means are assigned once, an update is followed by exactly
-    # one assignment, and a repeated partition (the start included) ends
-    # the run without a further update or assignment: 2 distance columns per
-    # update, plus 2 for the final assignment unless the run ended on a
-    # repeat.
+    # An iteration takes the means of the labels and assigns the points to
+    # them once, the start's means being the first, and an exit ends the run
+    # with no further update or assignment: 2 distance columns per iteration.
     calls = []
     squared_distances = ml._squared_distances
 
@@ -441,10 +445,27 @@ def test_lloyd_computes_each_assignment_once(monkeypatch):
             split = ml._threshold_split(columns, angle)
             calls.clear()
             ml._lloyd(columns, split)
-            ref = reference_lloyd(Y, split_means(Y, split), 300, 1e-8, start=split)
-            assert len(calls) == 2 * (ref.iterations + (ref.stop != "repeat")), (angle, ref.stop)
+            ref = reference_lloyd(Y, split, 300)
+            assert len(calls) == 2 * ref.iterations, (angle, ref.stop)
             iterations.add(ref.iterations)
     assert 1 in iterations and max(iterations) > 2, iterations
+
+
+def test_kmeans_is_invariant_under_power_of_two_scaling():
+    # Scaling by a power of two is exact in floating point, in the scores,
+    # their projections, means and squared distances alike, so no exit of a
+    # Lloyd run may depend on the scale: the fit keeps its labels and scales
+    # its inertia by exactly s**2.
+    differing = []
+    for seed in range(32):
+        rng = np.random.default_rng([19, seed])
+        Y = rng.normal(size=(int(rng.integers(50, 401)), 2))
+        model = kmeans_fit(Y)
+        for s in (2.0 ** -14, 2.0 ** 20):
+            scaled = kmeans_fit(Y * s)
+            if not (np.array_equal(scaled.labels, model.labels) and scaled.inertia == s * s * model.inertia):
+                differing.append((seed, s))
+    assert not differing
 
 
 def test_kmeans_deterministic_across_calls():
