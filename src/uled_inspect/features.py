@@ -21,8 +21,6 @@ MARGIN_PX = 1.0
 NEUTRAL_CHROMA = 0.5
 
 COLUMNS = ("mean_l", "max_l", "min_l", "std_l", "mean_cx", "mean_cy")
-CSV_COLUMNS = ("row", "col") + COLUMNS
-CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -122,21 +120,3 @@ def extract(frame: MeasurementFrame, grid: PixelGrid) -> CellTable:
             values[group, k] = sliding_window_view(plane, shape)[corners].astype(np.float64).mean(axis=(1, 2))
     return CellTable(rows=rows, cols=cols, values=values)
 
-
-def text_columns(table: CellTable) -> dict[str, list[str]]:
-    """Every features.csv column of the table as text, keyed by its header name.
-
-    row and col are written with str and the descriptors with repr, the
-    shortest text that reads back as the same float.  Each column is formatted
-    once, so the CSV and the report's per-cell entries share the strings.
-    """
-    text = {"row": list(map(str, table.rows.tolist())), "col": list(map(str, table.cols.tolist()))}
-    for name, column in zip(COLUMNS, table.values.T.tolist()):
-        text[name] = list(map(repr, column))
-    return text
-
-
-def to_csv(text: dict[str, list[str]]) -> str:
-    """features.csv from text_columns(table): the header, then one line per cell."""
-    lines = map(",".join, zip(*(text[name] for name in CSV_COLUMNS)))
-    return "\n".join([CSV_HEADER, *lines]) + "\n"

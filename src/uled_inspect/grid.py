@@ -16,7 +16,6 @@ Edge coordinates are continuous image coordinates (projection bin i covers
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +47,6 @@ class PixelGrid:
     def n_cols(self) -> int:
         return len(self.x_edges) - 1
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"x_edges": self.x_edges.tolist(), "y_edges": self.y_edges.tolist()},
-            sort_keys=True,
-        )
-
 
 @dataclass(frozen=True)
 class GridMetrics:
@@ -77,13 +70,6 @@ def project(frame: MeasurementFrame) -> tuple[np.ndarray, np.ndarray]:
             raise GridError(f"projection does not conserve total luminance (delta {err})")
         sums.setflags(write=False)
     return proj_x, proj_y
-
-
-def projection_csv(values: np.ndarray) -> str:
-    """projections_{x,y}.csv: each bin's center coordinate and its value."""
-    lines = ["coordinate,value"]
-    lines.extend(f"{i + 0.5},{v!r}" for i, v in enumerate(values.tolist()))
-    return "\n".join(lines) + "\n"
 
 
 def smooth(values: np.ndarray) -> np.ndarray:
@@ -203,10 +189,12 @@ def _tooth_minima(
 
     a = np.maximum(np.ceil(nominal - half_width).astype(np.int64), max(lo + 1, 1))
     b = np.minimum(np.floor(nominal + half_width).astype(np.int64), min(hi - 1, len(smoothed) - 2))
-    # An empty window (b < a) holds no valley, whatever its cutoff.
-    window_max = np.array(
-        [smoothed[i : j + 1].max() if i <= j else 0.0 for i, j in zip(a.tolist(), b.tolist())]
-    )
+    # Each window's maximum is reduceat's result at its a, which reduces up to
+    # the following b + 1.  The clip keeps every bound a valid index; it moves
+    # only bounds of empty windows (b < a), which hold no valley, whatever
+    # their cutoff.
+    bounds = np.clip(np.column_stack([a, b + 1]).ravel(), 0, len(smoothed) - 1)
+    window_max = np.where(b >= a, np.maximum.reduceat(smoothed, bounds)[::2], 0.0)
     cutoff = _VALLEY_DEPTH_REL * window_max
     usable = (first >= a[:, None]) & (last <= b[:, None]) & (smoothed[first] <= cutoff[:, None])
     distance = np.where(usable, np.abs(position - nominal[:, None]), np.inf)

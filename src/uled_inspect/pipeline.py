@@ -5,7 +5,8 @@ A run is deterministic for a given configuration: the report JSON is
 byte-identical across repeated runs.  The artifacts are published with
 io.replacing, all six or none: an artifact path that is a directory fails the
 run before anything is written, and any failed run leaves the output
-directory's files as they were, never a partial or mixed set.
+directory's files as they were, never a partial or mixed set.  The six artifact
+formats are written here and nowhere else.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -26,6 +26,11 @@ RECTIFY_MARGIN_PX = 10.0
 
 STATUS_FUNCTIONAL = "functional"
 STATUS_DEFECT = "defect"
+
+CSV_COLUMNS = ("row", "col") + features.COLUMNS
+
+# Cells whose text _write_cells formats and writes at a time.
+_CHUNK = 1024
 
 ARTIFACT_NAMES = (
     "report.json",
@@ -58,7 +63,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Structured run result plus the emitted artifact paths.
+    """Structured run result.
 
     report holds the summary sections of report.json: grid_metrics,
     confusion, les_stats and flags.  The per-cell result is cells with the
@@ -67,7 +72,6 @@ class ClassificationReport:
     """
 
     report: dict
-    artifacts: tuple[Path, ...]
     grid_metrics: grid.GridMetrics
     confusion: evaluation.ConfusionMatrix | None
     les_stats: evaluation.LesStats
@@ -145,81 +149,54 @@ def _overlay_svg(pixel_grid: grid.PixelGrid, cells: features.CellTable, defectiv
     return "\n".join(parts) + "\n"
 
 
-def _cell_text(
-    cells: features.CellTable, defective: np.ndarray, truth_cells: np.ndarray | None
-) -> dict[str, list[str]]:
-    """The JSON text of every field of every per-cell entry, keyed by field.
-
-    The features.csv columns come from features.text_columns; the statuses
-    "predicted" and, when per-cell truth is given, "truth" are the quoted
-    literals.
-    """
-    quoted = (json.dumps(STATUS_FUNCTIONAL), json.dumps(STATUS_DEFECT))
-    text = features.text_columns(cells)
-    for key, mask in (("predicted", defective), ("truth", truth_cells)):
-        if mask is not None:
-            text[key] = [quoted[bad] for bad in mask.tolist()]
-    return text
+def _projection_csv(values: np.ndarray) -> str:
+    """projections_{x,y}.csv: each bin's center coordinate and its value."""
+    lines = ["coordinate,value"]
+    lines.extend(f"{i + 0.5},{v!r}" for i, v in enumerate(values.tolist()))
+    return "\n".join(lines) + "\n"
 
 
-# Per-cell entries per piece of report.json text that _report_json yields.
-_REPORT_CHUNK = 1024
+def _write_cells(report_file, csv_file, report: dict, cells: features.CellTable, statuses: dict) -> None:
+    """Write report.json to report_file and features.csv to csv_file.
 
-
-def _report_json(report: dict, cell_text: dict[str, list[str]]) -> Iterator[str]:
-    """report.json in pieces: the summary sections of report plus a
-    "per_cell" list whose entries cell_text (see _cell_text) holds as text.
-    Joined, the pieces are byte for byte json.dumps(..., sort_keys=True,
-    indent=2) of the whole plus a newline.
+    report holds the summary sections of report.json and statuses maps each
+    per-cell status key ("predicted", and "truth" when per-cell truth is
+    given) to a defect mask over cells.  report.json is byte for byte
+    json.dumps(..., sort_keys=True, indent=2) of the summary plus a
+    "per_cell" list of one entry per cell, plus a newline.  features.csv is
+    the CSV_COLUMNS header, then one line per cell.
 
     With indent set, json.dumps leaves its C encoder for the pure-Python one,
     which is slow on tens of thousands of per-cell entries.  So only the
     summary goes through json.dumps, with an empty "per_cell", and the
-    per-cell block is made from cell_text with one %-template per entry, keys
-    sorted, and spliced in where the empty list stands.  The texts are json's
-    own encodings: str of an int, the quoted status, and repr of a float,
-    which is what json writes for any finite float.  Every descriptor is
-    finite: io.MeasurementFrame rejects non-finite samples and
-    features.CellTable non-finite descriptors.
-
-    The text before the list comes first, then the entries _REPORT_CHUNK at a
-    time, then the rest, so a caller that writes each piece as it comes never
-    holds the whole text.
+    per-cell entries are written with one %-template per entry, keys sorted,
+    where the empty list stands.  Each value is formatted once, _CHUNK cells
+    at a time, and the chunk's text goes to both files, so neither holds the
+    whole per-cell text.  The texts are json's own encodings: str of an int,
+    the quoted status, and repr of a float, which is what json writes for any
+    finite float.  Every descriptor is finite: io.MeasurementFrame rejects
+    non-finite samples and features.CellTable non-finite descriptors.  repr
+    is also the shortest text that reads back as the same float, which is
+    what features.csv holds.
     """
     rest = json.dumps({**report, "per_cell": []}, sort_keys=True, indent=2) + "\n"
     # The unpacking fails unless the key stands exactly once.
     head, tail = rest.split('"per_cell": []')
-    keys = sorted(cell_text)
-    columns = [cell_text[key] for key in keys]
-    count = len(columns[0])
-    if not count:
-        yield f'{head}"per_cell": []{tail}'
-        return
+    keys = sorted(CSV_COLUMNS + tuple(statuses))
     template = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    }"
-    yield f'{head}"per_cell": [\n'
-    for start in range(0, count, _REPORT_CHUNK):
-        chunk = zip(*(column[start : start + _REPORT_CHUNK] for column in columns))
-        yield ("" if start == 0 else ",\n") + ",\n".join(template % entry for entry in chunk)
-    yield "\n  ]" + tail
-
-
-def _artifact_texts(report, cells, defective, truth_cells, proj_x, proj_y, pixel_grid):
-    """The text pieces of every artifact, in ARTIFACT_NAMES order.
-
-    Each artifact is made only when the caller asks for the next one, so a
-    caller that writes each before it asks holds one at a time; report.json
-    comes in pieces (see _report_json).  The per-cell text of report.json and
-    features.csv, about 12 MiB on a 150x150-cell frame, is dropped once both
-    are made.
-    """
-    cell_text = _cell_text(cells, defective, truth_cells)
-    yield _report_json(report, cell_text)
-    yield [grid.projection_csv(proj_x)]
-    yield [grid.projection_csv(proj_y)]
-    yield [features.to_csv(cell_text)]
-    del cell_text
-    yield [pixel_grid.to_json() + "\n"]
-    yield [_overlay_svg(pixel_grid, cells, defective)]
+    quoted = (json.dumps(STATUS_FUNCTIONAL), json.dumps(STATUS_DEFECT))
+    report_file.write(head + '"per_cell": [')
+    csv_file.write(",".join(CSV_COLUMNS) + "\n")
+    for start in range(0, len(cells), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        columns = [list(map(str, cells.rows[chunk].tolist())), list(map(str, cells.cols[chunk].tolist()))]
+        columns += [list(map(repr, column)) for column in cells.values[chunk].T.tolist()]
+        csv_file.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        text = dict(zip(CSV_COLUMNS, columns))
+        text.update((key, [quoted[bad] for bad in mask[chunk].tolist()]) for key, mask in statuses.items())
+        entries = ",\n".join(template % entry for entry in zip(*(text[key] for key in keys)))
+        report_file.write(("\n" if start == 0 else ",\n") + entries)
+    report_file.write(("\n  ]" if len(cells) else "]") + tail)
 
 
 def run(config: PipelineConfig) -> ClassificationReport:
@@ -295,15 +272,22 @@ def run(config: PipelineConfig) -> ClassificationReport:
     out_dir = Path(config.output_dir)
     with _stage("artifacts"):
         out_dir.mkdir(parents=True, exist_ok=True)
-        texts = _artifact_texts(report, cells, defective, truth_cells, proj_x, proj_y, pixel_grid)
+        statuses = {"predicted": defective}
+        if truth_cells is not None:
+            statuses["truth"] = truth_cells
+        edges = {"x_edges": pixel_grid.x_edges.tolist(), "y_edges": pixel_grid.y_edges.tolist()}
         with io.replacing(out_dir / name for name in ARTIFACT_NAMES) as temps:
-            for temp, pieces in zip(temps, texts):
-                with temp.open("w", encoding="ascii") as f:
-                    f.writelines(pieces)
+            report_path, proj_x_path, proj_y_path, csv_path, grid_path, svg_path = temps
+            with report_path.open("w", encoding="ascii") as report_file, \
+                    csv_path.open("w", encoding="ascii") as csv_file:
+                _write_cells(report_file, csv_file, report, cells, statuses)
+            proj_x_path.write_text(_projection_csv(proj_x), encoding="ascii")
+            proj_y_path.write_text(_projection_csv(proj_y), encoding="ascii")
+            grid_path.write_text(json.dumps(edges, sort_keys=True) + "\n", encoding="ascii")
+            svg_path.write_text(_overlay_svg(pixel_grid, cells, defective), encoding="ascii")
 
     return ClassificationReport(
         report=report,
-        artifacts=tuple(out_dir / name for name in ARTIFACT_NAMES),
         grid_metrics=metrics,
         confusion=confusion_matrix,
         les_stats=les,

@@ -281,42 +281,6 @@ def test_extract_matches_per_cell_loop_on_cells_at_the_frame_border():
     assert_matches_reference(make_frame(lum), g, min_shapes=2)
 
 
-def reference_csv(table):
-    """The row-by-row writer to_csv replaced; repr of every descriptor."""
-    lines = [features.CSV_HEADER]
-    for row, col, cell in zip(table.rows.tolist(), table.cols.tolist(), table.values.tolist()):
-        lines.append(f"{row},{col}," + ",".join(map(repr, cell)))
-    return "\n".join(lines) + "\n"
-
-
-def test_csv_header_and_rows():
-    table = table_of(
-        (1, 2, 10.0, 12.0, 8.0, 1.0, 0.25, 0.5),
-        (1, 3, 0.30000000000000004, 1e16, 1e-05, 5e-324, 0.0, 1.0),
-    )
-    assert features.to_csv(features.text_columns(table)).splitlines(keepends=True) == [
-        "row,col,mean_l,max_l,min_l,std_l,mean_cx,mean_cy\n",
-        "1,2,10.0,12.0,8.0,1.0,0.25,0.5\n",
-        "1,3,0.30000000000000004,1e+16,1e-05,5e-324,0.0,1.0\n",
-    ]
-
-
-def test_csv_matches_row_wise_reference():
-    rng = np.random.default_rng(5)
-    n = 300
-    low = rng.uniform(0, 100, n) * 10.0 ** rng.integers(-8, 9, n)
-    high = low + rng.uniform(0, 50, n)
-    values = np.column_stack(
-        [(low + high) / 2, high, low, (high - low) / 3, rng.uniform(0, 1, n), rng.uniform(0, 1, n)]
-    )
-    values[::7, 4:] = 0.5
-    table = CellTable(rows=np.arange(n) // 17, cols=np.arange(n) % 17, values=values)
-    assert features.to_csv(features.text_columns(table)) == reference_csv(table)
-    no_cells = np.zeros(0, np.int64)
-    empty = CellTable(rows=no_cells, cols=no_cells, values=np.zeros((0, 6)))
-    assert features.to_csv(features.text_columns(empty)) == reference_csv(empty) == features.CSV_HEADER + "\n"
-
-
 @pytest.mark.parametrize(
     "cell",
     [

@@ -430,14 +430,3 @@ def test_cell_size_default_layout_recovers_pitch():
     assert abs(metrics.mean_cell_height - 26.0) < 0.5
     assert metrics.std_cell_width < 0.5
 
-
-def test_projection_csv_layout():
-    assert grid.projection_csv(np.array([1.0, 2.0])) == "coordinate,value\n0.5,1.0\n1.5,2.0\n"
-
-
-def test_grid_json_round_trip():
-    import json
-
-    g = build_grid([0.0, 26.0, 52.0], [0.0, 26.0, 52.0])
-    payload = json.loads(g.to_json())
-    assert payload == {"x_edges": [0.0, 26.0, 52.0], "y_edges": [0.0, 26.0, 52.0]}

@@ -1,5 +1,5 @@
 """Memory bounds of the warp, the generator and the frame writer, in bytes
-per output sample.
+per output sample, and of the per-cell artifact writer.
 
 Each bound is the sum of the arrays the code keeps alive at its peak, plus a
 slack for band temporaries and allocator rounding.  The tracemalloc peak
@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uled_inspect import geometry, io, pipeline, synthgen
+from uled_inspect import features, geometry, io, pipeline, synthgen
 from uled_inspect.io import MeasurementFrame
 
 from conftest import acceptance_config
@@ -127,3 +127,35 @@ def test_generate_peak_is_bounded_per_output_sample(config):
     # coverage, a five-array plan and every warped plane held at once about
     # 125.
     assert peak < bound, f"{peak / out_samples:.1f} bytes per output sample"
+
+
+def written_cells_peak(tmp_path, side):
+    """Tracemalloc peak of writing report.json and features.csv for a
+    side x side-cell table with random valid descriptors and both statuses."""
+    rng = np.random.default_rng(side)
+    n = side * side
+    low = rng.uniform(0.0, 100.0, n)
+    high = low + rng.uniform(0.0, 100.0, n)
+    values = np.column_stack([
+        low + rng.uniform(size=n) * (high - low), high, low,
+        rng.uniform(size=n) * (high - low) / 2.0, rng.uniform(size=(n, 2)),
+    ])
+    cells = features.CellTable(rows=np.arange(n) // side, cols=np.arange(n) % side, values=values)
+    defective = rng.uniform(size=n) < 0.05
+    statuses = {"predicted": defective, "truth": defective[::-1].copy()}
+    summary = {"flags": {"confusion_skipped": False}}
+    with open(tmp_path / "report.json", "w", encoding="ascii") as report_file, \
+            open(tmp_path / "features.csv", "w", encoding="ascii") as csv_file:
+        _, peak = traced_peak(pipeline._write_cells, report_file, csv_file, summary, cells, statuses)
+    assert (tmp_path / "features.csv").read_text().count("\n") == n + 1
+    return peak
+
+
+def test_cell_writer_peak_does_not_grow_with_the_cell_count(tmp_path):
+    # 148 x 148 is the interior of a dense 150 x 150-cell frame.  Formatting
+    # every cell's text before writing any read about 18.5 MiB here, and 2.8
+    # MiB at 58 x 58; written a chunk of cells at a time, both read about
+    # 1.7 MiB.
+    small, large = (written_cells_peak(tmp_path, side) for side in (58, 148))
+    assert large < 4 << 20, f"{large / 2**20:.1f} MiB"
+    assert large < 1.5 * small, f"{large / 2**20:.1f} MiB at 148 x 148, {small / 2**20:.1f} MiB at 58 x 58"

@@ -1,7 +1,7 @@
 import json
-import math
 import re
 import weakref
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -383,10 +383,28 @@ SECTIONS = {
 
 def write_report(cells, defective, truth):
     """The whole report these cells stand for, per_cell included, and the
-    report.json text the writers make of them."""
-    truth_cells = None if truth is None else truth.defective[cells.rows, cells.cols]
+    report.json and features.csv texts the writer makes of them."""
+    statuses = {"predicted": defective}
+    truth_cells = None
+    if truth is not None:
+        statuses["truth"] = truth_cells = truth.defective[cells.rows, cells.cols]
     report = {**SECTIONS, "per_cell": per_cell_entries(cells, defective, truth_cells)}
-    return report, "".join(pipeline._report_json(SECTIONS, pipeline._cell_text(cells, defective, truth_cells)))
+    report_file, csv_file = StringIO(), StringIO()
+    pipeline._write_cells(report_file, csv_file, SECTIONS, cells, statuses)
+    return report, report_file.getvalue(), csv_file.getvalue()
+
+
+def reference_csv(table):
+    """features.csv written row by row, repr of every descriptor: the
+    reference for the chunked writer."""
+    lines = ["row,col,mean_l,max_l,min_l,std_l,mean_cx,mean_cy"]
+    for row, col, cell in zip(table.rows.tolist(), table.cols.tolist(), table.values.tolist()):
+        lines.append(f"{row},{col}," + ",".join(map(repr, cell)))
+    return "\n".join(lines) + "\n"
+
+
+def features_csv(cells):
+    return write_report(cells, np.zeros(len(cells), dtype=bool), None)[2]
 
 
 def oracle_json(report):
@@ -422,7 +440,7 @@ def test_report_json_of_an_empty_table_keeps_the_empty_list():
     no_cells = np.zeros(0, np.int64)
     empty = features.CellTable(rows=no_cells, cols=no_cells, values=np.zeros((0, 6)))
     for truth in (None, io.DefectMap.from_cells(3, 4, [])):
-        report, text = write_report(empty, np.zeros(0, dtype=bool), truth)
+        report, text, _ = write_report(empty, np.zeros(0, dtype=bool), truth)
         assert_same_text(text, oracle_json(report))
         assert text.endswith('\n  "per_cell": []\n}\n')
 
@@ -441,7 +459,7 @@ def test_report_json_matches_json_dumps_on_awkward_floats():
     )
     defective = np.array([True, False, False, True])
     for truth in (io.DefectMap.from_cells(3, 4, [(0, 3), (2, 2)]), None):
-        report, text = write_report(cells, defective, truth)
+        report, text, _ = write_report(cells, defective, truth)
         assert_same_text(text, oracle_json(report))
         assert all(repr(value) in text for value in awkward)
 
@@ -460,17 +478,61 @@ def random_cells(rng, rows, cols):
 @pytest.mark.parametrize("extra", [-1, 0, 1, 3])
 def test_report_json_matches_json_dumps_across_chunks(extra):
     # Entry counts just below, at and just past a chunk boundary of the
-    # per-cell block, and past a second one.
-    n = (1 if extra == 3 else 2) * pipeline._REPORT_CHUNK + extra
+    # per-cell text, and past a second one.
+    n = (2 if extra == 3 else 1) * pipeline._CHUNK + extra
     rng = np.random.default_rng(31)
     cells = random_cells(rng, np.arange(n) // 40, np.arange(n) % 40)
     defective = rng.uniform(size=n) < 0.1
     truth = io.DefectMap.from_cells(n // 40 + 1, 40, [(k // 40, k % 40) for k in np.flatnonzero(defective)[::2]])
-    pieces = list(pipeline._report_json(SECTIONS, pipeline._cell_text(cells, defective, None)))
-    assert len(pieces) == 2 + math.ceil(n / pipeline._REPORT_CHUNK)
     for truth_map in (truth, None):
-        report, text = write_report(cells, defective, truth_map)
+        report, text, csv = write_report(cells, defective, truth_map)
         assert_same_text(text, oracle_json(report))
+        assert_same_text(csv, reference_csv(cells))
+
+
+def test_csv_header_and_rows():
+    table = features.CellTable(
+        rows=np.array([1, 1]),
+        cols=np.array([2, 3]),
+        values=np.array([
+            [10.0, 12.0, 8.0, 1.0, 0.25, 0.5],
+            [0.30000000000000004, 1e16, 1e-05, 5e-324, 0.0, 1.0],
+        ]),
+    )
+    assert features_csv(table).splitlines(keepends=True) == [
+        "row,col,mean_l,max_l,min_l,std_l,mean_cx,mean_cy\n",
+        "1,2,10.0,12.0,8.0,1.0,0.25,0.5\n",
+        "1,3,0.30000000000000004,1e+16,1e-05,5e-324,0.0,1.0\n",
+    ]
+
+
+def test_csv_matches_row_wise_reference():
+    rng = np.random.default_rng(5)
+    n = 300
+    low = rng.uniform(0, 100, n) * 10.0 ** rng.integers(-8, 9, n)
+    high = low + rng.uniform(0, 50, n)
+    values = np.column_stack(
+        [(low + high) / 2, high, low, (high - low) / 3, rng.uniform(0, 1, n), rng.uniform(0, 1, n)]
+    )
+    values[::7, 4:] = 0.5
+    table = features.CellTable(rows=np.arange(n) // 17, cols=np.arange(n) % 17, values=values)
+    assert features_csv(table) == reference_csv(table)
+    no_cells = np.zeros(0, np.int64)
+    empty = features.CellTable(rows=no_cells, cols=no_cells, values=np.zeros((0, 6)))
+    assert features_csv(empty) == reference_csv(empty) == "row,col,mean_l,max_l,min_l,std_l,mean_cx,mean_cy\n"
+
+
+def test_projection_csv_layout():
+    assert pipeline._projection_csv(np.array([1.0, 2.0])) == "coordinate,value\n0.5,1.0\n1.5,2.0\n"
+
+
+def test_grid_json_round_trip(tmp_path):
+    _, frame_path, _, _ = small_map(tmp_path)
+    result = run(PipelineConfig(frame_path=str(frame_path), output_dir=str(tmp_path / "out")))
+    edges = {"x_edges": result.pixel_grid.x_edges.tolist(), "y_edges": result.pixel_grid.y_edges.tolist()}
+    text = (tmp_path / "out" / "grid.json").read_text(encoding="ascii")
+    assert text == json.dumps(edges, sort_keys=True) + "\n"
+    assert json.loads(text) == edges
 
 
 # Hand-built writer inputs: three of the interior cells of a 3 x 4 grid, with
@@ -598,10 +660,10 @@ GOLDEN_OVERLAY_SVG = """\
 
 
 def test_writers_reproduce_golden_bytes():
-    report, text = write_report(GOLDEN_CELLS, GOLDEN_DEFECTIVE, GOLDEN_TRUTH)
+    report, text, csv = write_report(GOLDEN_CELLS, GOLDEN_DEFECTIVE, GOLDEN_TRUTH)
     assert_same_text(text, GOLDEN_REPORT_JSON)
     assert_same_text(oracle_json(report), GOLDEN_REPORT_JSON)
-    assert features.to_csv(features.text_columns(GOLDEN_CELLS)) == GOLDEN_FEATURES_CSV
+    assert csv == GOLDEN_FEATURES_CSV
     assert pipeline._overlay_svg(GOLDEN_GRID, GOLDEN_CELLS, GOLDEN_DEFECTIVE) == GOLDEN_OVERLAY_SVG
 
 
