@@ -87,21 +87,23 @@ def _parabolic_offset(left, mid, right) -> np.ndarray:
     return np.where(flat, 0.0, np.clip(offset, -0.5, 0.5))
 
 
-def _refined_peak(ac: np.ndarray, index: int) -> tuple[float, float]:
-    """Parabolic vertex (position, value) of the autocorrelation around index."""
-    if index <= 0 or index >= len(ac) - 1:
-        return float(index), float(ac[index])
-    left, mid, right = float(ac[index - 1]), float(ac[index]), float(ac[index + 1])
-    offset = float(_parabolic_offset(left, mid, right))
+def _refined_peaks(ac: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parabolic vertices (positions, values) of the autocorrelation around
+    each of the interior indices."""
+    left, mid, right = ac[index - 1], ac[index], ac[index + 1]
+    offset = _parabolic_offset(left, mid, right)
     return index + offset, mid - 0.25 * (left - right) * offset
 
 
 def estimate_period(projection: np.ndarray) -> float:
     """Dominant pitch of the projection via normalized autocorrelation.
 
-    Looks for the lag above 5 px maximizing the autocorrelation of the
-    mean-subtracted signal and refines the integer peak parabolically.
-    Raises GridError when no peak reaches 0.2 (no periodic structure).
+    Every local maximum of the autocorrelation of the mean-subtracted signal
+    at lags 5 .. n/3 is refined parabolically, and the pitch is the first
+    refined position whose value is at least 0.85 times the highest: the
+    fundamental, not a multiple of it that scores a little higher on the
+    integer lag grid.  Raises GridError when no refined peak reaches 0.2 (no
+    periodic structure).
     """
     v = projection - projection.mean()
     n = len(v)
@@ -113,26 +115,11 @@ def estimate_period(projection: np.ndarray) -> float:
         raise GridError("projection is constant; no periodic structure")
     ac = np.correlate(v, v, mode="full")[n - 1 :] / denom
     lags = np.arange(_MIN_LAG, max_lag + 1)
-    best = int(lags[np.argmax(ac[lags])])
-    if ac[best] < _MIN_PEAK:
-        raise GridError(
-            f"autocorrelation peak {ac[best]:.3f} below {_MIN_PEAK}; no periodic structure"
-        )
-    period, peak_value = _refined_peak(ac, best)
-    # A non-integer pitch can score below its integer-aligned multiple on the
-    # integer lag grid; prefer the smallest sub-multiple whose refined peak is
-    # comparable (the continuous-domain fundamental).
-    for divisor in (5, 4, 3, 2):
-        candidate = period / divisor
-        index = int(round(candidate))
-        if candidate < _MIN_LAG or index < 2 or index > max_lag - 1:
-            continue
-        window = ac[index - 1 : index + 2]
-        local = index - 1 + int(np.argmax(window))
-        sub_period, sub_value = _refined_peak(ac, local)
-        if sub_value >= 0.85 * peak_value and abs(sub_period * divisor - period) < 1.0:
-            return sub_period
-    return period
+    peaks = lags[(ac[lags] >= ac[lags - 1]) & (ac[lags] > ac[lags + 1])]
+    positions, values = _refined_peaks(ac, peaks)
+    if not np.any(values >= _MIN_PEAK):
+        raise GridError(f"no autocorrelation peak reaches {_MIN_PEAK}; no periodic structure")
+    return float(positions[np.argmax(values >= 0.85 * values.max())])
 
 
 def _support_range(smoothed: np.ndarray) -> tuple[int, int]:

@@ -84,8 +84,6 @@ class ClassificationReport:
 def _stage(name: str):
     try:
         yield
-    except PipelineStageError:
-        raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
 
@@ -212,10 +210,7 @@ def run(config: PipelineConfig) -> ClassificationReport:
         with _stage("read_defects"):
             truth = io.read_defect_map(config.defects_path)
     with _stage("corners"):
-        if config.corners is not None:
-            corners = [tuple(map(float, p)) for p in config.corners]
-        else:
-            corners = geometry.detect_corners(frame)
+        corners = config.corners if config.corners is not None else geometry.detect_corners(frame)
     with _stage("rectify"):
         rectified = _rectify(frame, corners)
     del frame  # only the rectified frame is needed from here on
@@ -228,6 +223,7 @@ def run(config: PipelineConfig) -> ClassificationReport:
         metrics = grid.cell_size(pixel_grid)
     with _stage("features"):
         cells = features.extract(rectified, pixel_grid)
+    del rectified  # nothing after the features reads the frame
     with _stage("classify"):
         standardized = ml.standardize_fit_transform(cells.values)
         pca = ml.pca_fit(standardized)

@@ -79,7 +79,7 @@ def test_estimate_period_constant_projection_errors():
 
 
 def test_refined_peak_matches_negated_valley_form():
-    # _refined_peak once took the vertex of the negated samples and a second
+    # The refined peak once took the vertex of the negated samples and a second
     # denominator for the value; negation commutes with IEEE rounding, so the
     # direct form gives the same bits.
     rng = np.random.default_rng(3)
@@ -89,7 +89,7 @@ def test_refined_peak_matches_negated_valley_form():
         offset = reference_parabolic_offset(-left, -mid, -right)
         denom = left - 2.0 * mid + right
         value = mid if abs(denom) < 1e-12 else mid - 0.25 * (left - right) * offset
-        assert grid._refined_peak(ac, 1) == (1 + offset, value)
+        assert grid._refined_peaks(ac, np.array(1)) == (1 + offset, value)
 
 
 def test_detect_edges_noise_free_within_half_px():
@@ -105,14 +105,20 @@ def test_detect_edges_noise_free_within_half_px():
 
 
 def test_detect_edges_non_integer_pitch():
-    config = synthgen.SynthConfig(grid_rows=18, grid_cols=18, cell_size_px=20.5, gap_px=3.0,
-                                  lum_sigma=4, noise_sigma=0.0, seed=6)
-    frame, _, _ = synthgen.generate(config)
-    px, _ = project(frame)
-    edges = detect_edges(px, estimate_period(px))
-    truth = np.arange(19) * config.pitch + synthgen.LES_MARGIN_PX
-    assert len(edges) == 19
-    assert np.abs(edges - truth).max() < 0.5
+    # Pitches of 23.5, 10.5 and 6.5 px: on the integer lag grid a multiple
+    # of the pitch (47, 21, 13) scores about as high as the pitch itself.
+    for cell, gap in ((20.5, 3.0), (9.0, 1.5), (5.2, 1.3)):
+        config = synthgen.SynthConfig(grid_rows=18, grid_cols=18, cell_size_px=cell, gap_px=gap,
+                                      lum_sigma=4, noise_sigma=0.0, seed=6)
+        frame, _, _ = synthgen.generate(config)
+        px, _ = project(frame)
+        period = estimate_period(px)
+        assert period == reference_estimate_period(px)
+        assert abs(period - config.pitch) < 0.1
+        edges = detect_edges(px, period)
+        truth = np.arange(19) * config.pitch + synthgen.LES_MARGIN_PX
+        assert len(edges) == 19
+        assert np.abs(edges - truth).max() < 0.5
 
 
 def test_detect_edges_defect_cluster_within_1px():
@@ -159,6 +165,37 @@ def reference_parabolic_offset(left: float, mid: float, right: float) -> float:
         return 0.0
     offset = 0.5 * (left - right) / denom
     return float(np.clip(offset, -0.5, 0.5))
+
+
+def reference_estimate_period(projection):
+    """estimate_period as it was before the first-strong-peak rule: the
+    highest autocorrelation lag, refined, then its 1/5 .. 1/2 sub-multiples
+    searched for a refined peak at least 0.85 times as high."""
+    v = projection - projection.mean()
+    n = len(v)
+    max_lag = n // 3
+    ac = np.correlate(v, v, mode="full")[n - 1 :] / float(v @ v)
+
+    def refined(index):
+        left, mid, right = float(ac[index - 1]), float(ac[index]), float(ac[index + 1])
+        offset = reference_parabolic_offset(left, mid, right)
+        return index + offset, mid - 0.25 * (left - right) * offset
+
+    lags = np.arange(grid._MIN_LAG, max_lag + 1)
+    best = int(lags[np.argmax(ac[lags])])
+    if ac[best] < grid._MIN_PEAK:
+        raise GridError("no periodic structure")
+    period, peak_value = refined(best)
+    for divisor in (5, 4, 3, 2):
+        candidate = period / divisor
+        index = int(round(candidate))
+        if candidate < grid._MIN_LAG or index < 2 or index > max_lag - 1:
+            continue
+        local = index - 1 + int(np.argmax(ac[index - 1 : index + 2]))
+        sub_period, sub_value = refined(local)
+        if sub_value >= 0.85 * peak_value and abs(sub_period * divisor - period) < 1.0:
+            return sub_period
+    return period
 
 
 def reference_window_minimum(smoothed, nominal, half_width, lo, hi, paths=None):
@@ -266,6 +303,7 @@ def test_detect_edges_matches_reference_on_rectified_frames(pixel_maps):
     for frame in frames:
         rectified = pipeline._rectify(frame, geometry.detect_corners(frame))
         for projection in grid.project(rectified):
+            assert estimate_period(projection) == reference_estimate_period(projection)
             assert assert_edges_match_reference(projection, estimate_period(projection))
 
 

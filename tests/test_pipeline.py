@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from uled_inspect import features, grid, io, ml, pipeline, synthgen
-from uled_inspect.errors import ConfigError, PipelineStageError
+from uled_inspect.errors import ConfigError, GridError, PipelineStageError
 from uled_inspect.pipeline import ARTIFACT_NAMES, PipelineConfig, run
 
 from conftest import acceptance_config
@@ -286,6 +286,24 @@ def test_grid_running_off_the_frame_fails_in_reconstruct_grid(tmp_path):
     with pytest.raises(PipelineStageError, match="past the end of the") as info:
         run(PipelineConfig(frame_path=str(tmp_path / "frame.ulf"), output_dir=str(tmp_path / "out")))
     assert info.value.stage == "reconstruct_grid"
+
+
+def test_gap_free_les_fails_in_reconstruct_grid(tmp_path):
+    # With no dark gap between cells the projections hold no period, and the
+    # autocorrelation only decays from lag 0.  No peak backs a pitch, so the
+    # stage fails instead of laying a grid of 5 px cells; nor does a box.
+    for name, pose in (("upright", dict(seed=101)),
+                       ("map202", dict(rotation_deg=1.0, perspective_strength=0.012, seed=202))):
+        frame, _, _ = synthgen.generate(acceptance_config(grid_rows=30, grid_cols=30, gap_px=0.0, **pose))
+        io.write_frame(frame, tmp_path / f"{name}.ulf")
+        with pytest.raises(PipelineStageError, match="no autocorrelation peak reaches 0.2") as info:
+            run(PipelineConfig(frame_path=str(tmp_path / f"{name}.ulf"), output_dir=str(tmp_path / name)))
+        assert info.value.stage == "reconstruct_grid"
+        assert not (tmp_path / name).exists()
+    box = np.zeros(1400)
+    box[200:1200] = 1000.0
+    with pytest.raises(GridError, match="no autocorrelation peak"):
+        grid.estimate_period(box)
 
 
 def test_report_json_schema(tmp_path):
