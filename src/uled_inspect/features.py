@@ -19,6 +19,10 @@ from .io import MeasurementFrame
 
 MARGIN_PX = 1.0
 NEUTRAL_CHROMA = 0.5
+# Samples extract gathers at a time: the cells of one block shape are taken
+# in parts of at most this many samples (at least one cell), so the float64
+# blocks and the std's temporaries stay a few MiB whatever the cell count.
+_CHUNK_SAMPLES = 1 << 19
 
 COLUMNS = ("mean_l", "max_l", "min_l", "std_l", "mean_cx", "mean_cy")
 
@@ -83,9 +87,10 @@ def extract(frame: MeasurementFrame, grid: PixelGrid) -> CellTable:
     Cells are gathered in groups of one block shape (h, w): indexing the
     plane's sliding_window_view of that shape at the cells' top-left corners
     copies their blocks into one (n, h, w) array, so each statistic is one
-    reduction per group.  The results are bit-identical to reducing each
-    cell's block on its own; the tests keep that per-cell loop as the
-    reference.
+    reduction per group, in parts of at most _CHUNK_SAMPLES samples.  Each
+    cell's reductions are its own, so the results are bit-identical to
+    reducing each cell's block on its own; the tests keep that per-cell loop
+    as the reference.
 
     Raises FeatureExtractionError when a cell retains no samples after the
     margin, naming the first such cell.
@@ -112,11 +117,16 @@ def extract(frame: MeasurementFrame, grid: PixelGrid) -> CellTable:
     shape_key = heights * (widths.max() + 1) + widths  # sorts as (h, w) does
     for first in np.unique(shape_key, return_index=True)[1].tolist():
         group = np.flatnonzero(shape_key == shape_key[first])
-        shape, corners = (heights[first], widths[first]), (j0[group], i0[group])
-        lum = sliding_window_view(luminance, shape)[corners].astype(np.float64)
-        for k, reduce in enumerate((np.mean, np.max, np.min, np.std)):
-            values[group, k] = reduce(lum, axis=(1, 2))
-        for k, plane in enumerate(chroma, start=4):
-            values[group, k] = sliding_window_view(plane, shape)[corners].astype(np.float64).mean(axis=(1, 2))
+        shape = (heights[first], widths[first])
+        step = max(1, _CHUNK_SAMPLES // (shape[0] * shape[1]))
+        for start in range(0, len(group), step):
+            part = group[start : start + step]
+            corners = (j0[part], i0[part])
+            lum = sliding_window_view(luminance, shape)[corners].astype(np.float64)
+            for k, reduce in enumerate((np.mean, np.max, np.min, np.std)):
+                values[part, k] = reduce(lum, axis=(1, 2))
+            del lum  # before the chroma planes' blocks are gathered
+            for k, plane in enumerate(chroma, start=4):
+                values[part, k] = sliding_window_view(plane, shape)[corners].astype(np.float64).mean(axis=(1, 2))
     return CellTable(rows=rows, cols=cols, values=values)
 

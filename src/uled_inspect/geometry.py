@@ -132,14 +132,15 @@ def _bands(height: int):
 
 def _band_taps(inv: np.ndarray, band: slice, out_width: int, src_shape: tuple[int, int]):
     """Bilinear taps of the output rows in band: each sample center pulled
-    back through inv into the zero-padded source `np.pad(plane, 2)` of a
-    plane of shape src_shape (height, width).
+    back through inv into a plane of shape src_shape (height, width).
 
-    Returns the flat int64 index `base` of every sample's (0, 0) tap and the
-    float64 fractional offsets `du` (columns) and `dv` (rows) that weigh its
-    (0, 0), (0, 1), (1, 0) and (1, 1) taps as (row, column) offsets.  A tap
-    outside the source reads the pad.  Every operation is elementwise, so a
-    band gets exactly the values the whole-output expressions would give."""
+    Returns the column `iu` and row `iv` of every sample's (0, 0) tap, whole
+    numbers in float64, and the float64 fractional offsets `du` (columns) and
+    `dv` (rows) that weigh its (0, 0), (0, 1), (1, 0) and (1, 1) taps as
+    (row, column) offsets.  The (0, 0) tap is clamped into [-2, w_src] x
+    [-2, h_src], the zero pad of `np.pad(plane, 2)` around the source.  Every
+    operation is elementwise, so a band gets exactly the values the
+    whole-output expressions would give."""
     h_src, w_src = src_shape
     gx = (np.arange(out_width) + 0.5)[None, :]
     gy = (np.arange(band.start, band.stop) + 0.5)[:, None]
@@ -162,28 +163,26 @@ def _band_taps(inv: np.ndarray, band: slice, out_width: int, src_shape: tuple[in
     iv = np.floor(v)
     du = np.subtract(u, iu, out=u)
     dv = np.subtract(v, iv, out=v)
-    # A top-left tap clamped into [-2, w_src] x [-2, h_src] keeps every tap
-    # inside the source where it was and moves every outside tap onto the
-    # pad; a horizon sample reads only the pad, at column w_src.
+    # The clamp keeps every tap inside the source where it was and moves
+    # every outside tap onto the pad; a horizon sample reads only the pad, at
+    # column w_src.
     np.clip(iu, -2, w_src, out=iu)
     iu[horizon] = w_src
     np.clip(iv, -2, h_src, out=iv)
-    # The flat index (iv + 2) * (w_src + 4) + iu + 2, as
-    # iv * (w_src + 4) + iu + (2 * (w_src + 4) + 2): every term is an
-    # integer in float64, so the sum is exact below 2**53 samples, whatever
-    # its order; cast once.
-    iv *= w_src + 4
-    iv += iu
-    iv += 2 * (w_src + 4) + 2
-    return iv.astype(np.int64), du, dv
+    return iu, iv, du, dv
 
 
 def warp_plane(plane: np.ndarray, inv: np.ndarray, out_width: int, out_height: int) -> np.ndarray:
     """Bilinear inverse warp of one plane; sources outside it contribute 0.
 
     Each band's taps (`_band_taps`) are computed right before its gather and
-    dropped after it, so no output-sized array but the result is made.  The
-    taps are gathered from `np.pad(plane, 2)`, so an outside tap adds
+    dropped after it, so no output-sized array but the result is made.  A
+    band whose four taps all lie inside the plane gathers them from the plane
+    itself (through `np.require(plane, requirements="CA")`, which copies only
+    a plane that is not C-contiguous and aligned).  A band with a tap outside
+    it, a horizon sample's among them, gathers from `np.pad(plane, 2)`,
+    padded once, at the first such band, so the padded copy is made only for
+    a plane with bands that leave the source.  There an outside tap adds
     `weight * +0.0 = +0.0`, the weight being finite and >= 0: exactly the
     `0.0 * sample` of a tap masked to weight 0.0, for a sample >= 0.  So for
     planes that are finite and >= 0 (every MeasurementFrame plane and every
@@ -205,23 +204,36 @@ def warp_plane(plane: np.ndarray, inv: np.ndarray, out_width: int, out_height: i
     summing are all elementwise, so banding changes no output bit.
     """
     result = np.empty((out_height, out_width), dtype=np.result_type(plane, np.float32))
+    h_src, w_src = plane.shape
     # A float32 sample times a float64 weight equals its float64 copy times it.
-    src = np.pad(plane, 2).ravel()
-    row = plane.shape[1] + 4
-    t00, t01, t10, t11 = src, src[1:], src[row:], src[row + 1 :]
+    inside = np.require(plane, requirements="CA").ravel()
+    padded = None
     # Band buffers, reused: the band's float64 sum and the weight of one tap.
     acc_buf = np.empty((min(_BAND_ROWS, out_height), out_width))
     weight_buf = np.empty_like(acc_buf)
     for band in _bands(out_height):
-        base, du, dv = _band_taps(inv, band, out_width, plane.shape)
+        iu, iv, du, dv = _band_taps(inv, band, out_width, plane.shape)
+        if iu.min() >= 0 and iu.max() <= w_src - 2 and iv.min() >= 0 and iv.max() <= h_src - 2:
+            src, row = inside, w_src
+        else:
+            if padded is None:
+                padded = np.pad(plane, 2).ravel()
+            src, row = padded, w_src + 4
+            iu += 2
+            iv += 2
+        # The flat index iv * row + iu of each (0, 0) tap: every term is an
+        # integer in float64, so it is exact below 2**53 samples; cast once.
+        iv *= row
+        iv += iu
+        base = iv.astype(np.int64)
         rows = band.stop - band.start
         acc, weight = acc_buf[:rows], weight_buf[:rows]
         # Weights (1 - du) * (1 - dv), du * (1 - dv), (1 - du) * dv, du * dv,
         # each times its tap, summed in that order.
         ru, rv = 1 - du, 1 - dv
         np.multiply(ru, rv, out=acc)
-        acc *= t00.take(base)
-        for fu, fv, tap in ((du, rv, t01), (ru, dv, t10), (du, dv, t11)):
+        acc *= src.take(base)
+        for fu, fv, tap in ((du, rv, src[1:]), (ru, dv, src[row:]), (du, dv, src[row + 1 :])):
             np.multiply(fu, fv, out=weight)
             weight *= tap.take(base)
             acc += weight
@@ -240,8 +252,8 @@ def warp_frame(frame: MeasurementFrame, h: Homography, out_width: int, out_heigh
     (a sum of non-negative weights times non-negative samples), rounding to
     float32 is monotone, and 0 and 1 are exact.  So the rectified frame, 4
     bytes per output sample and plane, is the only output-sized array made,
-    besides band temporaries and a zero-padded copy of the source plane being
-    warped.
+    besides band temporaries.  A source plane is copied only when a band of
+    its warp has a tap outside it: warp_plane then pads it with zeros, once.
     """
     if out_width <= 0 or out_height <= 0:
         raise GeometryError(f"output size must be positive, got {out_width}x{out_height}")

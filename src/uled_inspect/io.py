@@ -9,6 +9,10 @@ ULF1 container layout, little-endian throughout:
     payload      planar row-major float32, one plane per MeasurementFrame.planes
                  entry in that order: luminance[, chroma_x, chroma_y]
 
+read_frame reads the payload into one aligned array, so no plane sits at the
+header's 13-byte offset; numpy's loops and gathers on a misaligned plane fall
+back to slow paths or copy the plane.
+
 The defect map is a CSV whose first line is ``rows,cols`` followed by one
 ``row,col`` line per defective cell.
 """
@@ -182,24 +186,31 @@ def write_frame(frame: MeasurementFrame, path) -> None:
 
 
 def read_frame(path) -> MeasurementFrame:
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise FrameFormatError(f"{path}: file shorter than the {_HEADER.size}-byte header")
-    magic, width, height, channels = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise FrameFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if channels not in (1, 3):
-        raise FrameFormatError(f"{path}: channel count {channels} not in (1, 3)")
-    if width == 0 or height == 0:
-        raise FrameFormatError(f"{path}: zero frame dimension {width}x{height}")
-    expected = _HEADER.size + 4 * width * height * channels
-    if len(data) != expected:
-        raise FrameFormatError(
-            f"{path}: payload is {len(data) - _HEADER.size} bytes, "
-            f"expected {expected - _HEADER.size} for {width}x{height}x{channels}"
-        )
-    payload = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
-    return MeasurementFrame(width, height, *payload.reshape(channels, -1))
+    """Read a ULF1 file; its payload goes straight into one aligned float32
+    array, whose planes the frame keeps."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FrameFormatError(f"{path}: file shorter than the {_HEADER.size}-byte header")
+        magic, width, height, channels = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise FrameFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if channels not in (1, 3):
+            raise FrameFormatError(f"{path}: channel count {channels} not in (1, 3)")
+        if width == 0 or height == 0:
+            raise FrameFormatError(f"{path}: zero frame dimension {width}x{height}")
+        expected = _HEADER.size + 4 * width * height * channels
+        if size != expected:
+            raise FrameFormatError(
+                f"{path}: payload is {size - _HEADER.size} bytes, "
+                f"expected {expected - _HEADER.size} for {width}x{height}x{channels}"
+            )
+        payload = np.empty((channels, height, width), dtype="<f4")
+        got = f.readinto(payload)
+        if got != payload.nbytes:
+            raise FrameFormatError(f"{path}: payload ended after {got} of {payload.nbytes} bytes")
+    return MeasurementFrame(width, height, *payload)
 
 
 def write_defect_map(defects: DefectMap, path) -> None:

@@ -29,7 +29,7 @@ STATUS_DEFECT = "defect"
 
 CSV_COLUMNS = ("row", "col") + features.COLUMNS
 
-# Cells whose text _write_cells formats and writes at a time.
+# Cells whose text _write_cells and _write_overlay format and write at a time.
 _CHUNK = 1024
 
 ARTIFACT_NAMES = (
@@ -113,38 +113,46 @@ def _rectify(frame: io.MeasurementFrame, corners) -> io.MeasurementFrame:
     return geometry.warp_frame(frame, h, out_w, out_h)
 
 
-def _overlay_svg(pixel_grid: grid.PixelGrid, cells: features.CellTable, defective: np.ndarray) -> str:
+def _write_overlay(svg_file, pixel_grid: grid.PixelGrid, cells: features.CellTable, defective: np.ndarray) -> None:
+    """Write overlay.svg to svg_file: a black canvas, one grey rect per cell
+    (its mean luminance over the brightest cell's), the grid lines, then a
+    red outline per defective cell.  Cell rects and outlines are formatted
+    and written _CHUNK cells at a time, so the whole text is never held."""
     xs, ys = pixel_grid.x_edges, pixel_grid.y_edges
     width, height = xs[-1] + xs[0], ys[-1] + ys[0]
     mean_l = cells.column("mean_l")
     peak = float(mean_l.max()) or 1.0
-    # np.rint rounds halves to even, as Python's round does.
-    heat = np.rint(255 * np.clip(mean_l / peak, 0.0, 1.0)).astype(np.int64).tolist()
     # A cell's x and width are its column's, its y and height its row's, so
     # each is formatted once per column or row; a cell only joins them.
     col_x = [f'x="{x:.2f}"' for x in xs[:-1].tolist()]
     col_w = [f'width="{w:.2f}"' for w in np.diff(xs).tolist()]
     row_y = [f'y="{y:.2f}"' for y in ys[:-1].tolist()]
     row_h = [f'height="{h:.2f}"' for h in np.diff(ys).tolist()]
-    rows, cols = cells.rows.tolist(), cells.cols.tolist()
-    fills = [f'fill="#{level:02x}{level:02x}{level:02x}"/>' for level in range(256)]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:.1f} {height:.1f}">',
-        f'<rect x="0" y="0" width="{width:.1f}" height="{height:.1f}" fill="black"/>',
-    ]
-    parts += [
-        f"<rect {col_x[c]} {row_y[r]} {col_w[c]} {row_h[r]} {fills[level]}" for r, c, level in zip(rows, cols, heat)
-    ]
-    stroke = 'stroke="#3366cc" stroke-width="0.5"/>'
-    parts += [f'<line x1="{x:.2f}" y1="{ys[0]:.2f}" x2="{x:.2f}" y2="{ys[-1]:.2f}" {stroke}' for x in xs]
-    parts += [f'<line x1="{xs[0]:.2f}" y1="{y:.2f}" x2="{xs[-1]:.2f}" y2="{y:.2f}" {stroke}' for y in ys]
-    for r, c, bad in zip(rows, cols, defective.tolist()):
-        if bad:
-            parts.append(
-                f'<rect {col_x[c]} {row_y[r]} {col_w[c]} {row_h[r]} fill="none" stroke="#dd2222" stroke-width="1.2"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    fills = [f'fill="#{level:02x}{level:02x}{level:02x}"/>\n' for level in range(256)]
+    svg_file.write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:.1f} {height:.1f}">\n'
+        f'<rect x="0" y="0" width="{width:.1f}" height="{height:.1f}" fill="black"/>\n'
+    )
+    for start in range(0, len(cells), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        # np.rint rounds halves to even, as Python's round does.
+        heat = np.rint(255 * np.clip(mean_l[chunk] / peak, 0.0, 1.0)).astype(np.int64).tolist()
+        rows, cols = cells.rows[chunk].tolist(), cells.cols[chunk].tolist()
+        svg_file.write("".join(
+            f"<rect {col_x[c]} {row_y[r]} {col_w[c]} {row_h[r]} {fills[level]}" for r, c, level in zip(rows, cols, heat)
+        ))
+    stroke = 'stroke="#3366cc" stroke-width="0.5"/>\n'
+    svg_file.write("".join(f'<line x1="{x:.2f}" y1="{ys[0]:.2f}" x2="{x:.2f}" y2="{ys[-1]:.2f}" {stroke}' for x in xs))
+    svg_file.write("".join(f'<line x1="{xs[0]:.2f}" y1="{y:.2f}" x2="{xs[-1]:.2f}" y2="{y:.2f}" {stroke}' for y in ys))
+    bad = np.flatnonzero(defective)
+    for start in range(0, len(bad), _CHUNK):
+        chunk = bad[start : start + _CHUNK]
+        rows, cols = cells.rows[chunk].tolist(), cells.cols[chunk].tolist()
+        svg_file.write("".join(
+            f'<rect {col_x[c]} {row_y[r]} {col_w[c]} {row_h[r]} fill="none" stroke="#dd2222" stroke-width="1.2"/>\n'
+            for r, c in zip(rows, cols)
+        ))
+    svg_file.write("</svg>\n")
 
 
 def _projection_csv(values: np.ndarray) -> str:
@@ -280,7 +288,8 @@ def run(config: PipelineConfig) -> ClassificationReport:
             proj_x_path.write_text(_projection_csv(proj_x), encoding="ascii")
             proj_y_path.write_text(_projection_csv(proj_y), encoding="ascii")
             grid_path.write_text(json.dumps(edges, sort_keys=True) + "\n", encoding="ascii")
-            svg_path.write_text(_overlay_svg(pixel_grid, cells, defective), encoding="ascii")
+            with svg_path.open("w", encoding="ascii") as svg_file:
+                _write_overlay(svg_file, pixel_grid, cells, defective)
 
     return ClassificationReport(
         report=report,

@@ -307,9 +307,35 @@ RAGGED_HEIGHTS = {
 }
 
 
+# An affine map of the 72x64 output into the 50x40 source whose taps all lie
+# inside it, and a shift by 2 px whose first bands stay inside and whose
+# later bands run past the source's last row.
+ALL_INSIDE = np.array([[0.6, 0.05, 2.5], [-0.04, 0.5, 4.0], [0.0, 0.0, 1.0]])
+INSIDE_THEN_PAD = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
+
+
+def source_plane(case, values):
+    """values as the plane of a case: a copy that starts 1 byte into its
+    buffer ("misaligned"), a mirrored view ("non_contiguous"), or values."""
+    if case == "misaligned":
+        buffer = bytearray(values.nbytes + 1)
+        plane = np.frombuffer(buffer, dtype=values.dtype, offset=1).reshape(values.shape)
+        plane[...] = values
+        assert not plane.flags.aligned
+        return plane
+    if case == "non_contiguous":
+        plane = values[:, ::-1].copy()[:, ::-1]
+        assert not plane.flags.c_contiguous and np.array_equal(plane, values)
+        return plane
+    return values
+
+
 @pytest.mark.parametrize(
     "case",
-    ["identity", "rotation_perspective", "ones", "horizon", "past_the_pad", *RAGGED_HEIGHTS, "horizon_ragged"],
+    [
+        "identity", "rotation_perspective", "ones", "horizon", "past_the_pad", *RAGGED_HEIGHTS, "horizon_ragged",
+        "all_inside", "inside_then_pad", "misaligned", "non_contiguous",
+    ],
 )
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype):
@@ -337,20 +363,33 @@ def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype):
         # and on into a one-row last band.
         inv = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1 / 32.5, 0.0, 1.0]])
         out_height = geometry._BAND_ROWS + 1
+    elif case == "all_inside":
+        inv = ALL_INSIDE
+    else:
+        # A misaligned or a non-contiguous plane is read both straight and
+        # through its padded copy.
+        inv, out_width = INSIDE_THEN_PAD, 40
     expected = masked_warp_oracle(plane, inv, out_width, out_height)
-    if case != "identity":
-        # Some samples read border taps of the 2-sample zero pad and some do not.
-        h_src, w_src = shape
-        bands = geometry._bands(out_height)
-        base = np.concatenate([geometry._band_taps(inv, band, out_width, shape)[0] for band in bands])
-        row, col = np.divmod(base, w_src + 4)
-        reads_pad = (row < 2) | (row > h_src) | (col < 2) | (col > w_src)
-        assert reads_pad.any() and not reads_pad.all()
+    plane = source_plane(case, plane)
+    # Per band, the samples with a tap outside the source: a band with one is
+    # gathered from np.pad(plane, 2), and they read its 2-sample zero pad.
+    h_src, w_src = shape
+    taps = [geometry._band_taps(inv, band, out_width, shape)[:2] for band in geometry._bands(out_height)]
+    reads_pad = [(iu < 0) | (iu > w_src - 2) | (iv < 0) | (iv > h_src - 2) for iu, iv in taps]
+    if case == "all_inside":
+        assert not any(band.any() for band in reads_pad)
+    elif case in ("inside_then_pad", "misaligned", "non_contiguous"):
+        # The first band reads the plane itself, a later one its padded copy.
+        assert not reads_pad[0].any() and reads_pad[-1].any()
+    elif case != "identity":
+        # Some samples read border taps of the pad and some do not.
+        assert np.concatenate(reads_pad).any() and not np.concatenate(reads_pad).all()
         if case == "past_the_pad":
-            assert np.mean((row == 0) | (col == 0)) > 0.5
+            iu, iv = (np.concatenate(axis) for axis in zip(*taps))
+            assert np.mean((iv == -2) | (iu == -2)) > 0.5
     # The float64 warp of the plane's float64 copy is the oracle, bit for
     # bit; a float32 plane warps to that warp rounded to float32.
-    out = geometry.warp_plane(plane.astype(np.float64), inv, out_width, out_height)
+    out = geometry.warp_plane(plane.astype(np.float64, copy=False), inv, out_width, out_height)
     assert out.dtype == np.float64 and out.shape == (out_height, out_width)
     assert out.tobytes() == expected.tobytes()
     assert not np.signbit(out).any()

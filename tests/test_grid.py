@@ -29,6 +29,19 @@ def test_project_constant_frame():
     assert np.allclose(py, 8 * 2.5)
 
 
+@pytest.mark.parametrize("width", [1400, 8193, 20000])
+def test_project_sums_equal_those_of_the_float64_copy(width):
+    # project sums the float32 plane with a float64 accumulator; its column
+    # and row sums are those of the plane's float64 copy, bit for bit, at a
+    # rectified width and at two far wider planes.
+    rng = np.random.default_rng(width)
+    frame = make_frame(rng.uniform(0.0, 100.0, size=(64, width)))
+    lum = frame.luminance.astype(np.float64)
+    px, py = project(frame)
+    assert px.tobytes() == lum.sum(axis=0).tobytes()
+    assert py.tobytes() == lum.sum(axis=1).tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     width=st.integers(1, 12),

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,19 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(FrameFormatError, match="payload"):
         io.read_frame(path)
+
+
+def test_payload_cut_after_the_size_check_is_rejected(tmp_path, monkeypatch):
+    # A file that shrinks between its size check and the read of its payload.
+    frame = make_frame(np.ones((4, 4)))
+    path = tmp_path / "f.ulf"
+    io.write_frame(frame, path)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    monkeypatch.setattr(io, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=size)))
+    with pytest.raises(FrameFormatError) as exc:
+        io.read_frame(path)
+    assert str(exc.value) == f"{path}: payload ended after 56 of 64 bytes"
 
 
 def test_trailing_bytes_rejected(tmp_path):

@@ -195,7 +195,7 @@ def test_failed_run_leaves_no_artifacts(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(pipeline, "_overlay_svg", boom)
+    monkeypatch.setattr(pipeline, "_write_overlay", boom)
     with pytest.raises(PipelineStageError, match="artifacts"):
         run(PipelineConfig(
             frame_path=str(frame_path), output_dir=str(out),
@@ -682,7 +682,7 @@ def test_writers_reproduce_golden_bytes():
     assert_same_text(text, GOLDEN_REPORT_JSON)
     assert_same_text(oracle_json(report), GOLDEN_REPORT_JSON)
     assert csv == GOLDEN_FEATURES_CSV
-    assert pipeline._overlay_svg(GOLDEN_GRID, GOLDEN_CELLS, GOLDEN_DEFECTIVE) == GOLDEN_OVERLAY_SVG
+    assert overlay_text(GOLDEN_GRID, GOLDEN_CELLS, GOLDEN_DEFECTIVE) == GOLDEN_OVERLAY_SVG
 
 
 def test_overlay_heat_levels_round_half_to_even_like_python():
@@ -695,15 +695,22 @@ def test_overlay_heat_levels_round_half_to_even_like_python():
         values=np.column_stack([mean_l, mean_l, mean_l, np.zeros(n), np.full((n, 2), 0.5)]),
     )
     pixel_grid = grid.PixelGrid(np.arange(n + 1) * 2.0, np.array([0.0, 2.0]), np.ones((1, n), dtype=bool))
-    svg = pipeline._overlay_svg(pixel_grid, cells, np.zeros(n, dtype=bool))
+    svg = overlay_text(pixel_grid, cells, np.zeros(n, dtype=bool))
     levels = [int(level, 16) for level in re.findall(r'fill="#([0-9a-f]{2})\1\1"', svg)]
     assert levels == [int(round(255 * min(max(v, 0.0), 1.0))) for v in (mean_l / 510.0).tolist()]
     assert levels[:4] == [0, 2, 2, 4]
 
 
+def overlay_text(pixel_grid, cells, defective):
+    """The text pipeline._write_overlay writes."""
+    svg_file = StringIO()
+    pipeline._write_overlay(svg_file, pixel_grid, cells, defective)
+    return svg_file.getvalue()
+
+
 def overlay_svg_oracle(pixel_grid, cells, defective):
     """overlay.svg formatted cell by cell, every coordinate of every cell
-    with its own f-string: the reference for pipeline._overlay_svg."""
+    with its own f-string: the reference for pipeline._write_overlay."""
     xs, ys = pixel_grid.x_edges, pixel_grid.y_edges
     width, height = xs[-1] + xs[0], ys[-1] + ys[0]
     mean_l = cells.column("mean_l")
@@ -737,10 +744,12 @@ def overlay_svg_oracle(pixel_grid, cells, defective):
     return "\n".join(parts) + "\n"
 
 
-def test_overlay_svg_matches_the_per_cell_oracle_on_an_uneven_grid():
+def test_overlay_svg_matches_the_per_cell_oracle_on_an_uneven_grid(monkeypatch):
     # Edges at uneven, non-round spacings, so a column's width and a row's
     # height differ from cell to cell of the grid and round at the last
-    # digit; only the interior cells are listed, and some are defects.
+    # digit; only the interior cells are listed, and some are defects.  The
+    # writer runs with its own chunk of cells and with one that splits both
+    # the cells and the defects into several chunks.
     rng = np.random.default_rng(32)
     x_edges = 3.7 + np.cumsum(rng.uniform(8.0, 12.0, size=31))
     y_edges = 2.1 + np.cumsum(rng.uniform(8.0, 12.0, size=24))
@@ -750,7 +759,11 @@ def test_overlay_svg_matches_the_per_cell_oracle_on_an_uneven_grid():
     defective = rng.uniform(size=len(rows)) < 0.05
     assert defective.any()
     pixel_grid = grid.PixelGrid(x_edges, y_edges, interior)
-    assert pipeline._overlay_svg(pixel_grid, cells, defective) == overlay_svg_oracle(pixel_grid, cells, defective)
+    expected = overlay_svg_oracle(pixel_grid, cells, defective)
+    for chunk in (pipeline._CHUNK, 7):
+        monkeypatch.setattr(pipeline, "_CHUNK", chunk)
+        assert overlay_text(pixel_grid, cells, defective) == expected
+    assert defective.sum() > 7
 
 
 # Frames of the luminance-scaling test: a 20x20-cell colour frame at the
