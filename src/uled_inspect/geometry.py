@@ -254,11 +254,21 @@ def warp_frame(frame: MeasurementFrame, h: Homography, out_width: int, out_heigh
     bytes per output sample and plane, is the only output-sized array made,
     besides band temporaries.  A source plane is copied only when a band of
     its warp has a tap outside it: warp_plane then pads it with zeros, once.
+
+    frame.planes is iterated once, in order, and each source plane is dropped
+    before the next is taken.  So frame may also be any object whose planes
+    is a one-shot iterable that reads each plane when asked for it (as
+    pipeline.run's camera frame does): then one source plane is alive at a
+    time, besides the rectified planes made so far.
     """
     if out_width <= 0 or out_height <= 0:
         raise GeometryError(f"output size must be positive, got {out_width}x{out_height}")
     inv = h.inverse().matrix
-    lum, *chroma = (warp_plane(plane, inv, out_width, out_height) for plane in frame.planes)
+    warped = []
+    for plane in frame.planes:
+        warped.append(warp_plane(plane, inv, out_width, out_height))
+        del plane
+    lum, *chroma = warped
     for plane in chroma:
         np.clip(plane, 0.0, 1.0, out=plane)
     return MeasurementFrame(out_width, out_height, lum, *chroma)

@@ -9,9 +9,11 @@ ULF1 container layout, little-endian throughout:
     payload      planar row-major float32, one plane per MeasurementFrame.planes
                  entry in that order: luminance[, chroma_x, chroma_y]
 
-read_frame reads the payload into one aligned array, so no plane sits at the
-header's 13-byte offset; numpy's loops and gathers on a misaligned plane fall
-back to slow paths or copy the plane.
+FrameReader reads the planes one at a time, each into its own aligned array,
+so no plane sits at the header's 13-byte offset (numpy's loops and gathers on
+a misaligned plane fall back to slow paths or copy the plane), and a caller
+that warps each plane as it is read holds one camera plane, not all of them.
+read_frame is that reader drained into a MeasurementFrame.
 
 The defect map is a CSV whose first line is ``rows,cols`` followed by one
 ``row,col`` line per defective cell.
@@ -67,11 +69,7 @@ class MeasurementFrame:
                     break
             plane = _as_plane(getattr(self, name), self.height, self.width, name)
             object.__setattr__(self, name, plane)
-            # min and max keep a NaN, which fails both tests; the per-sample
-            # mask is built only to name the first bad sample.
-            if not (plane.min() >= 0 and plane.max() <= high):
-                idx = int(np.argmax(~((plane >= 0) & (plane <= high))))
-                raise ValidationError(f"{name} sample at flat index {idx} is {plane.flat[idx]!r}; {rule}")
+            _check_plane(plane, name, high, rule)
 
     @property
     def planes(self) -> tuple[np.ndarray, ...]:
@@ -101,6 +99,16 @@ def _as_plane(values, height: int, width: int, name: str) -> np.ndarray:
     arr = arr.reshape(height, width)
     arr.setflags(write=False)
     return arr
+
+
+def _check_plane(plane: np.ndarray, name: str, high: float, rule: str) -> None:
+    """Raise ValidationError naming the first sample of plane that breaks its
+    _PLANE_RULES rule: a sample must lie in [0, high]."""
+    # min and max keep a NaN, which fails both tests; the per-sample mask is
+    # built only to name the first bad sample.
+    if not (plane.min() >= 0 and plane.max() <= high):
+        idx = int(np.argmax(~((plane >= 0) & (plane <= high))))
+        raise ValidationError(f"{name} sample at flat index {idx} is {plane.flat[idx]!r}; {rule}")
 
 
 def _check_grid_size(rows: int, cols: int) -> None:
@@ -185,32 +193,80 @@ def write_frame(frame: MeasurementFrame, path) -> None:
             f.write(np.ascontiguousarray(plane, dtype="<f4"))
 
 
-def read_frame(path) -> MeasurementFrame:
-    """Read a ULF1 file; its payload goes straight into one aligned float32
-    array, whose planes the frame keeps."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        header = f.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise FrameFormatError(f"{path}: file shorter than the {_HEADER.size}-byte header")
-        magic, width, height, channels = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise FrameFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        if channels not in (1, 3):
-            raise FrameFormatError(f"{path}: channel count {channels} not in (1, 3)")
-        if width == 0 or height == 0:
-            raise FrameFormatError(f"{path}: zero frame dimension {width}x{height}")
-        expected = _HEADER.size + 4 * width * height * channels
-        if size != expected:
+class FrameReader:
+    """A ULF1 file open for reading its planes one at a time, in container order.
+
+    Opening reads the header and checks it, the channel count, the dimensions
+    and the file size (os.fstat), so a missing, short or malformed file fails
+    here, before any plane is read.  read_plane reads the next plane with
+    readinto into its own aligned float32 array and checks it by its
+    _PLANE_RULES rule; the reader keeps no plane it has returned.  Use it as
+    a context manager, which closes the file.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._file = open(path, "rb")
+        try:
+            size = os.fstat(self._file.fileno()).st_size
+            header = self._file.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise FrameFormatError(f"{path}: file shorter than the {_HEADER.size}-byte header")
+            magic, width, height, channels = _HEADER.unpack(header)
+            if magic != MAGIC:
+                raise FrameFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+            if channels not in (1, 3):
+                raise FrameFormatError(f"{path}: channel count {channels} not in (1, 3)")
+            if width == 0 or height == 0:
+                raise FrameFormatError(f"{path}: zero frame dimension {width}x{height}")
+            expected = _HEADER.size + 4 * width * height * channels
+            if size != expected:
+                raise FrameFormatError(
+                    f"{path}: payload is {size - _HEADER.size} bytes, "
+                    f"expected {expected - _HEADER.size} for {width}x{height}x{channels}"
+                )
+        except BaseException:
+            self._file.close()
+            raise
+        self.width, self.height, self.channels = width, height, channels
+        self._planes_read = 0
+
+    def __enter__(self) -> "FrameReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def read_plane(self) -> np.ndarray:
+        """The next plane, read-only, of shape (height, width)."""
+        index = self._planes_read
+        plane = np.empty((self.height, self.width), dtype="<f4")
+        got = self._file.readinto(plane)
+        if got != plane.nbytes:
             raise FrameFormatError(
-                f"{path}: payload is {size - _HEADER.size} bytes, "
-                f"expected {expected - _HEADER.size} for {width}x{height}x{channels}"
+                f"{self.path}: payload ended after {index * plane.nbytes + got} "
+                f"of {self.channels * plane.nbytes} bytes"
             )
-        payload = np.empty((channels, height, width), dtype="<f4")
-        got = f.readinto(payload)
-        if got != payload.nbytes:
-            raise FrameFormatError(f"{path}: payload ended after {got} of {payload.nbytes} bytes")
-    return MeasurementFrame(width, height, *payload)
+        self._planes_read += 1
+        plane.setflags(write=False)
+        _check_plane(plane, *_PLANE_RULES[index])
+        return plane
+
+    def frame(self, planes) -> MeasurementFrame:
+        """The MeasurementFrame of planes: the luminance, or all planes, as
+        read_plane returned them.  They were shaped and checked when read, so
+        the frame is built without checking them again."""
+        frame = object.__new__(MeasurementFrame)
+        values = (self.width, self.height, *planes, None, None)
+        for name, value in zip(("width", "height", "luminance", "chroma_x", "chroma_y"), values):
+            object.__setattr__(frame, name, value)
+        return frame
+
+
+def read_frame(path) -> MeasurementFrame:
+    """Read a ULF1 file: FrameReader's planes, all of them, as one frame."""
+    with FrameReader(path) as reader:
+        return reader.frame([reader.read_plane() for _ in range(reader.channels)])
 
 
 def write_defect_map(defects: DefectMap, path) -> None:

@@ -2,11 +2,16 @@
 extraction, classification, and report emission.
 
 A run is deterministic for a given configuration: the report JSON is
-byte-identical across repeated runs.  The artifacts are published with
-io.replacing, all six or none: an artifact path that is a directory fails the
-run before anything is written, and any failed run leaves the output
-directory's files as they were, never a partial or mixed set.  The six artifact
-formats are written here and nowhere else.
+byte-identical across repeated runs.  The camera frame is read one plane at a
+time, with io.FrameReader: stage read_frame reads the luminance, which the
+corners are found on, and rectify's warp reads each chroma plane when it asks
+for it, a bad chroma sample still failing stage read_frame.  So the run holds
+at most one camera plane besides the rectified planes made so far, and none
+past rectify.  The artifacts are published with io.replacing, all six or none:
+an artifact path that is a directory fails the run before anything is
+written, and any failed run leaves the output directory's files as they were,
+never a partial or mixed set.  The six artifact formats are written here and
+nowhere else.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -82,8 +88,12 @@ class ClassificationReport:
 
 @contextlib.contextmanager
 def _stage(name: str):
+    """Raise any failure of the body as a PipelineStageError of stage name;
+    one raised by a stage nested in the body keeps its own stage."""
     try:
         yield
+    except PipelineStageError:
+        raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
 
@@ -103,7 +113,21 @@ def _quad_size(corners) -> tuple[float, float]:
     return width, height
 
 
-def _rectify(frame: io.MeasurementFrame, corners) -> io.MeasurementFrame:
+def _camera_planes(reader: io.FrameReader, luminance: np.ndarray):
+    """The camera planes for rectify's warp, once each: the luminance already
+    read, then each chroma plane, read when the warp asks for it.  A read that
+    fails, a chroma sample out of range among them, fails stage read_frame.
+    A plane is dropped here as soon as the warp asks for the next one."""
+    yield luminance
+    del luminance
+    for _ in range(1, reader.channels):
+        with _stage("read_frame"):
+            plane = reader.read_plane()
+        yield plane
+        del plane
+
+
+def _rectify(frame, corners) -> io.MeasurementFrame:
     width, height = _quad_size(corners)
     m = RECTIFY_MARGIN_PX
     dst = [(m, m), (m + width, m), (m + width, m + height), (m, m + height)]
@@ -212,16 +236,22 @@ def run(config: PipelineConfig) -> ClassificationReport:
     the output directory's files as they were.
     """
     with _stage("read_frame"):
-        frame = io.read_frame(config.frame_path)
-    truth = None
-    if config.defects_path is not None:
-        with _stage("read_defects"):
-            truth = io.read_defect_map(config.defects_path)
-    with _stage("corners"):
-        corners = config.corners if config.corners is not None else geometry.detect_corners(frame)
-    with _stage("rectify"):
-        rectified = _rectify(frame, corners)
-    del frame  # only the rectified frame is needed from here on
+        reader = io.FrameReader(config.frame_path)
+    with reader:
+        with _stage("read_frame"):
+            luminance = reader.read_plane()
+        truth = None
+        if config.defects_path is not None:
+            with _stage("read_defects"):
+                truth = io.read_defect_map(config.defects_path)
+        with _stage("corners"):
+            corners = config.corners
+            if corners is None:
+                corners = geometry.detect_corners(reader.frame([luminance]))
+        with _stage("rectify"):
+            camera = SimpleNamespace(planes=_camera_planes(reader, luminance))
+            del luminance  # the camera planes hand it to the warp, then drop it
+            rectified = _rectify(camera, corners)
     with _stage("project"):
         proj_x, proj_y = grid.project(rectified)
     with _stage("reconstruct_grid"):

@@ -12,6 +12,17 @@ def make_frame(values, chroma_x=None, chroma_y=None):
     return io.MeasurementFrame(w, h, arr, chroma_x, chroma_y)
 
 
+def put_nan(frame_path, plane: int, index: int) -> None:
+    """Overwrite sample index (flat) of plane (its number in the file) of a
+    ULF1 file with a float32 NaN."""
+    blob = bytearray(frame_path.read_bytes())
+    width, height, channels = io._HEADER.unpack_from(blob)[1:]
+    assert plane < channels
+    offset = io._HEADER.size + 4 * (plane * width * height + index)
+    blob[offset : offset + 4] = np.float32("nan").tobytes()
+    frame_path.write_bytes(bytes(blob))
+
+
 # The three benchmark pixel maps: same array, increasing rotation/perspective.
 # Pitch 23 px (cell 20 + gap 3) so the reconstructed cell size matches the
 # ~23 camera px per uLED of the measurement setup.

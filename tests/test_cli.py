@@ -7,6 +7,8 @@ import pytest
 from uled_inspect import cli, io, ml, synthgen
 from uled_inspect.cli import main
 
+from conftest import put_nan
+
 CONFIG_TEXT = """\
 # benchmark array
 grid_rows = 14
@@ -271,6 +273,16 @@ def test_analyze_unreadable_frame_exits_3(tmp_path, capsys):
         assert code == 3
         err = capsys.readouterr().err
         assert "stage 'read_frame' failed" in err and str(frame) in err
+
+
+def test_analyze_nan_chroma_y_sample_exits_3(generated, tmp_path, capsys):
+    _, frame, _ = generated
+    put_nan(frame, plane=2, index=0)
+    code = main(["analyze", "--frame", str(frame), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "stage 'read_frame' failed" in err and "chroma_y sample at flat index 0" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_explicit_corners(generated, tmp_path, capsys):

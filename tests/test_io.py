@@ -104,6 +104,19 @@ def test_payload_cut_after_the_size_check_is_rejected(tmp_path, monkeypatch):
     assert str(exc.value) == f"{path}: payload ended after 56 of 64 bytes"
 
 
+def test_frame_reader_reads_one_aligned_plane_at_a_time(tmp_path):
+    rng = np.random.default_rng(3)
+    planes = rng.uniform(0.0, 1.0, size=(3, 5, 7)).astype(np.float32)
+    path = tmp_path / "f.ulf"
+    io.write_frame(io.MeasurementFrame(7, 5, *planes), path)
+    with io.FrameReader(path) as reader:
+        assert (reader.width, reader.height, reader.channels) == (7, 5, 3)
+        for expected in planes:
+            plane = reader.read_plane()
+            assert plane.flags.aligned and not plane.flags.writeable
+            assert np.array_equal(plane, expected)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     frame = make_frame(np.ones((2, 2)))
     path = tmp_path / "f.ulf"

@@ -1,5 +1,5 @@
-"""Memory bounds of the frame reader and writer, the warp, the generator,
-the feature gather and the artifact writers.
+"""Memory bounds of the frame reader and writer, the warp, the run up to
+rectify, the generator, the feature gather and the artifact writers.
 
 Each bound is the sum of the arrays the code keeps alive at its peak, plus a
 slack for temporaries and allocator rounding; the terms are bytes per sample
@@ -17,6 +17,11 @@ allocated during the call, so an input made before it is not counted.
   output-sized taps, and warp_frame warps every plane straight into a
   float32 array, so its bounds have no FLOAT64_PLANE term.  The generator
   warps into float64 planes and draws its noise a chunk at a time.
+- The run's read_frame, corners and rectify stages read the camera frame
+  one plane at a time and warp each plane as it is read, so their bound has
+  one FLOAT32_PLANE term per camera sample (the chroma plane being warped),
+  beside the three rectified FLOAT32_PLANE terms and SLACK per output sample.
+  Reading all three camera planes first would add two more camera terms.
 - Readers and writers that stream hold at most one plane or one chunk of
   text, so their bounds are a plane plus 64 KiB, a fixed number of MiB, or a
   ratio between two table sizes.
@@ -29,6 +34,7 @@ import numpy as np
 import pytest
 
 from uled_inspect import features, geometry, grid, io, pipeline, synthgen
+from uled_inspect.errors import PipelineStageError
 from uled_inspect.io import MeasurementFrame
 
 from conftest import acceptance_config
@@ -87,6 +93,34 @@ def test_warp_frame_peak_is_bounded_per_output_sample(rectify_args):
     # on top reads about 45.
     assert peak < bound, f"{peak / out_samples:.1f} bytes per output sample"
     assert out.luminance.shape == (out_h, out_w)
+
+
+def test_run_holds_one_camera_plane_through_rectify(rectify_args, tmp_path, monkeypatch):
+    frame = rectify_args[0]
+    assert frame.has_chroma
+    path = tmp_path / "frame.ulf"
+    io.write_frame(frame, path)
+    camera_samples = frame.width * frame.height
+    seen = []
+
+    def stop_after_rectify(rectified):
+        seen.append((tracemalloc.get_traced_memory()[1], rectified.width * rectified.height))
+        raise RuntimeError("stopped after rectify")
+
+    # The run's read_frame, corners and rectify stages, up to the first
+    # call of the next stage.
+    monkeypatch.setattr(grid, "project", stop_after_rectify)
+    with pytest.raises(PipelineStageError, match="stage 'project'"):
+        traced_peak(pipeline.run, pipeline.PipelineConfig(frame_path=str(path), output_dir=str(tmp_path / "out")))
+    (peak, out_samples), = seen
+
+    # At the last chroma plane's warp: that float32 camera plane and the
+    # three float32 rectified planes; every tap of this frame's warp lies
+    # inside the source, so no plane is padded.
+    bound = FLOAT32_PLANE * camera_samples + (3 * FLOAT32_PLANE + SLACK) * out_samples
+    # The bound is about 24.5 MiB and the peak about 19.3; reading the three
+    # camera planes before the warps read about 27.7.
+    assert peak < bound, f"{peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 def test_luminance_only_warp_frame_holds_no_plan(rectify_args):
@@ -203,9 +237,9 @@ def test_read_frame_reads_aligned_planes_in_place(tmp_path):
 
     read, peak = traced_peak(io.read_frame, tmp_path / "frame.ulf")
 
-    # The payload, read once into one aligned array.  Reading the file's
-    # bytes and viewing the planes 13 bytes into them held the same bytes,
-    # but left every plane misaligned.
+    # The payload, each plane read once into its own aligned array.
+    # Reading the file's bytes and viewing the planes 13 bytes into them held
+    # the same bytes, but left every plane misaligned.
     payload = 3 * FLOAT32_PLANE * width * height
     assert peak <= payload + (64 << 10), f"{(peak - payload) / 2**10:.0f} KiB beyond the payload"
     assert all(plane.flags.aligned for plane in read.planes)

@@ -11,7 +11,7 @@ from uled_inspect import features, grid, io, ml, pipeline, synthgen
 from uled_inspect.errors import ConfigError, GridError, PipelineStageError
 from uled_inspect.pipeline import ARTIFACT_NAMES, PipelineConfig, run
 
-from conftest import acceptance_config
+from conftest import acceptance_config, put_nan
 
 
 def small_map(tmp_path, **overrides):
@@ -54,29 +54,33 @@ def per_cell_entries(cells, defective, truth_cells):
 
 
 def test_run_releases_camera_frame_after_rectify(tmp_path, monkeypatch):
-    # Past rectify only the rectified frame is needed; the camera frame must
-    # not stay alive through the feature and classify stages.
+    # Past rectify only the rectified frame is needed; no camera plane may
+    # stay alive through the feature and classify stages.  Within rectify the
+    # planes are read one at a time, each gone before the next is read.
     _, frame_path, defects_path, _ = small_map(tmp_path)
-    read_frame, extract = io.read_frame, features.extract
+    read_plane, extract = io.FrameReader.read_plane, features.extract
     camera = []
+    alive_at_read = []
     alive_in_extract = []
 
-    def tracked_read_frame(path):
-        frame = read_frame(path)
-        camera.append(weakref.ref(frame))
-        return frame
+    def tracked_read_plane(self):
+        alive_at_read.append([ref() is not None for ref in camera])
+        plane = read_plane(self)
+        camera.append(weakref.ref(plane))
+        return plane
 
     def tracked_extract(*args, **kwargs):
-        alive_in_extract.append(camera[0]() is not None)
+        alive_in_extract.append([ref() is not None for ref in camera])
         return extract(*args, **kwargs)
 
-    monkeypatch.setattr(io, "read_frame", tracked_read_frame)
+    monkeypatch.setattr(io.FrameReader, "read_plane", tracked_read_plane)
     monkeypatch.setattr(features, "extract", tracked_extract)
     run(PipelineConfig(
         frame_path=str(frame_path), output_dir=str(tmp_path / "out"),
         defects_path=str(defects_path),
     ))
-    assert alive_in_extract == [False]
+    assert alive_at_read == [[], [False], [False, False]]
+    assert alive_in_extract == [[False, False, False]]
 
 
 def test_run_emits_all_artifacts(tmp_path):
@@ -163,6 +167,30 @@ def test_explicit_corners_match_auto(tmp_path):
 def test_missing_frame_names_stage(tmp_path):
     with pytest.raises(PipelineStageError, match="read_frame"):
         run(PipelineConfig(frame_path=str(tmp_path / "nope.ulf"), output_dir=str(tmp_path / "out")))
+
+
+def test_nan_chroma_y_sample_fails_read_frame(tmp_path):
+    # The chroma planes are read while the luminance is warped; a bad chroma
+    # sample is still an input fault, not a rectify failure.
+    _, frame_path, _, _ = small_map(tmp_path)
+    put_nan(frame_path, plane=2, index=7)
+    with pytest.raises(PipelineStageError, match="chroma_y sample at flat index 7") as info:
+        run(PipelineConfig(frame_path=str(frame_path), output_dir=str(tmp_path / "out")))
+    assert info.value.stage == "read_frame"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("damage", ["truncated payload", "bad header"])
+def test_unreadable_frame_fails_read_frame_before_corners(tmp_path, monkeypatch, damage):
+    _, frame_path, _, _ = small_map(tmp_path)
+    blob = frame_path.read_bytes()
+    frame_path.write_bytes(blob[:-8] if damage == "truncated payload" else b"NOPE" + blob[4:])
+    corner_calls = []
+    monkeypatch.setattr(pipeline.geometry, "detect_corners", lambda frame: corner_calls.append(frame))
+    with pytest.raises(PipelineStageError, match="payload" if damage == "truncated payload" else "bad magic") as info:
+        run(PipelineConfig(frame_path=str(frame_path), output_dir=str(tmp_path / "out")))
+    assert info.value.stage == "read_frame"
+    assert corner_calls == []
 
 
 def test_detected_degenerate_quad_fails_in_rectify(tmp_path, monkeypatch):
