@@ -2,13 +2,13 @@
 
 The luminance image is summed over rows (x-projection) and over columns
 (y-projection); the dark inter-cell borders make both projections periodic.
-Edges are recovered period-first: autocorrelation fixes the pitch, a phase fit
-places a nominal edge comb, and each edge is refined to the nearest valley of
-the smoothed projection.  The valleys are listed once per axis, in a table of
-every strict local minimum (a run of equal samples counts as one) with its
-first index, last index and position.  Teeth without a usable valley take
-their position from a comb re-fit through the measured ones, which is what
-lets the comb bridge clusters of defective cells.
+Edges are recovered period-first: the spectrum's peak fixes the pitch, the
+phase at that frequency places a nominal edge comb, and each edge is refined
+to the nearest valley of the smoothed projection.  The valleys are listed once
+per axis, in a table of every strict local minimum (a run of equal samples
+counts as one) with its first index, last index and position.  Teeth without
+a usable valley take their position from a comb re-fit through the measured
+ones, which is what lets the comb bridge clusters of defective cells.
 
 Edge coordinates are continuous image coordinates (projection bin i covers
 [i, i+1), center i + 0.5).
@@ -23,10 +23,13 @@ import numpy as np
 from .errors import GridError
 from .io import MeasurementFrame
 
-_MIN_PEAK = 0.2
-_MIN_LAG = 5
+# Floor on the pitch: at 4 px or less the +-period/4 valley window spans at
+# most 2 px, narrower than the 3-tap smoothing kernel, so each edge rests on
+# one or two smoothed bins.  Clean 3 px combs still resolve; it is a margin.
+_MIN_PERIOD = 4.0
 _SUPPORT_REL = 0.1
-_PHASE_STEP = 0.25
+_ZERO_PAD = 16
+_MIN_CONTRAST = 0.5
 _SPACING_TOL = 0.25
 _VALLEY_DEPTH_REL = 0.75
 
@@ -92,39 +95,42 @@ def _parabolic_offset(left, mid, right) -> np.ndarray:
     return np.where(flat, 0.0, np.clip(offset, -0.5, 0.5))
 
 
-def _refined_peaks(ac: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parabolic vertices (positions, values) of the autocorrelation around
-    each of the interior indices."""
-    left, mid, right = ac[index - 1], ac[index], ac[index + 1]
-    offset = _parabolic_offset(left, mid, right)
-    return index + offset, mid - 0.25 * (left - right) * offset
+def _autocorrelation(v: np.ndarray, lag: float) -> float:
+    """Normalized autocorrelation of v, linear between integer lags."""
+    i = int(lag)
+    at_i, at_next = float(v[: len(v) - i] @ v[i:]), float(v[: len(v) - i - 1] @ v[i + 1 :])
+    return ((i + 1 - lag) * at_i + (lag - i) * at_next) / float(v @ v)
 
 
 def estimate_period(projection: np.ndarray) -> float:
-    """Dominant pitch of the projection via normalized autocorrelation.
+    """Dominant pitch of the projection from the peak of its spectrum.
 
-    Every local maximum of the autocorrelation of the mean-subtracted signal
-    at lags 5 .. n/3 is refined parabolically, and the pitch is the first
-    refined position whose value is at least 0.85 times the highest: the
-    fundamental, not a multiple of it that scores a little higher on the
-    integer lag grid.  Raises GridError when no refined peak reaches 0.2 (no
-    periodic structure).
+    The projection over its support, mean subtracted and Hann windowed, is
+    zero-padded 16x; the pitch is the highest rfft magnitude above 2 periods
+    per support, refined by a parabola through the log magnitudes of its bin
+    and the two beside it.  Raises GridError (no periodic structure) when the
+    support is constant or its comb contrast r(p) - r(p/2), the normalized
+    autocorrelation at the pitch less that at half of it, is below 0.5.
     """
-    v = projection - projection.mean()
-    n = len(v)
-    max_lag = n // 3
-    if max_lag <= _MIN_LAG:
-        raise GridError(f"projection of length {n} too short for period estimation")
-    denom = float(v @ v)
-    if denom <= 0.0:
-        raise GridError("projection is constant; no periodic structure")
-    ac = np.correlate(v, v, mode="full")[n - 1 :] / denom
-    lags = np.arange(_MIN_LAG, max_lag + 1)
-    peaks = lags[(ac[lags] >= ac[lags - 1]) & (ac[lags] > ac[lags + 1])]
-    positions, values = _refined_peaks(ac, peaks)
-    if not np.any(values >= _MIN_PEAK):
-        raise GridError(f"no autocorrelation peak reaches {_MIN_PEAK}; no periodic structure")
-    return float(positions[np.argmax(values >= 0.85 * values.max())])
+    lo, hi = _support_range(smooth(projection))
+    support = projection[lo : hi + 1]
+    n = len(support)
+    if np.ptp(support) == 0.0:
+        raise GridError("projection is constant over its support; no periodic structure")
+    v = support - support.mean()
+    magnitude = np.abs(np.fft.rfft(v * np.hanning(n), _ZERO_PAD * n))
+    first = 2 * _ZERO_PAD + 1
+    if len(magnitude) - 1 <= first:
+        raise GridError(f"support of {n} bins too short for period estimation")
+    peak = first + int(np.argmax(magnitude[first:-1]))
+    around = magnitude[peak - 1 : peak + 2]
+    if not np.all(around > 0.0):
+        raise GridError(f"spectrum of the {n}-bin support vanishes at its peak; no periodic structure")
+    period = _ZERO_PAD * n / (peak + float(_parabolic_offset(*np.log(around))))
+    contrast = _autocorrelation(v, period) - _autocorrelation(v, period / 2.0)
+    if contrast < _MIN_CONTRAST:
+        raise GridError(f"comb contrast {contrast:.3f} at period {period:.3f} < {_MIN_CONTRAST}; no periodic structure")
+    return period
 
 
 def _support_range(smoothed: np.ndarray) -> tuple[int, int]:
@@ -136,19 +142,11 @@ def _support_range(smoothed: np.ndarray) -> tuple[int, int]:
 
 
 def _fit_phase(smoothed: np.ndarray, period: float, lo: int, hi: int) -> float:
-    positions = np.arange(len(smoothed), dtype=np.float64)
-    best_phase = 0.0
-    best_score = np.inf
-    for phase in np.arange(0.0, period, _PHASE_STEP):
-        start = phase + np.ceil((lo - phase) / period) * period
-        teeth = np.arange(start, hi + 1e-9, period)
-        if teeth.size == 0:
-            continue
-        score = float(np.interp(teeth, positions, smoothed).mean())
-        if score < best_score:
-            best_score = score
-            best_phase = float(phase)
-    return best_phase
+    """Edge-comb phase: half a period past the maximum of the support's
+    fundamental at the period, from the phase of its DFT at that frequency."""
+    x = np.arange(lo, hi + 1)
+    c = smoothed[lo : hi + 1] @ np.exp(-2j * np.pi * x / period)
+    return float((period / 2.0 - np.angle(c) * period / (2.0 * np.pi)) % period)
 
 
 def _tooth_minima(
@@ -196,16 +194,17 @@ def _tooth_minima(
 def detect_edges(projection: np.ndarray, period: float) -> np.ndarray:
     """Edge coordinates, one per pitch window across the projection support.
 
-    The phase of the edge comb minimizes the summed projection sampled at
-    {phase + k*period}.  The strict local minima of the smoothed projection
-    are listed once, as a valley table, and each comb tooth is refined to the
-    nearest valley within +-period/4 (see _tooth_minima).  Teeth whose
-    window holds no usable valley (defect clusters, LES border), and measured
-    teeth more than 1 px off the comb, take their position from a
-    least-squares comb re-fit through the measured teeth, which keeps those
-    edges free of the small bias of the autocorrelation period.
+    The edge comb {phase + k*period} sits half a period past the maxima of
+    the support's fundamental at the period (see _fit_phase).  The strict
+    local minima of the smoothed projection are listed once, as a valley
+    table, and each comb tooth is refined to the nearest valley within
+    +-period/4 (see _tooth_minima).  Teeth whose window holds no usable
+    valley (defect clusters, LES border), and measured teeth more than 1 px
+    off the comb, take their position from a least-squares comb re-fit
+    through the measured teeth, which keeps those edges free of any small
+    bias of the estimated period.
     """
-    if period <= _MIN_LAG - 1:
+    if period <= _MIN_PERIOD:
         raise GridError(f"period {period} too small")
     smoothed = smooth(projection)
     lo, hi = _support_range(smoothed)

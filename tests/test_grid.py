@@ -72,37 +72,58 @@ def test_estimate_period_synthetic_pitch_26():
     assert abs(estimate_period(px) - 26.0) < 0.25
 
 
+def comb_contrast(projection):
+    """r(p) - r(p/2) of the projection's support at the pitch estimate_period
+    finds, from the full autocorrelation with np.interp at fractional lags."""
+    lo, hi = grid._support_range(grid.smooth(projection))
+    v = projection[lo : hi + 1] - projection[lo : hi + 1].mean()
+    n = len(v)
+    magnitude = np.abs(np.fft.rfft(v * np.hanning(n), 16 * n))
+    peak = 33 + int(np.argmax(magnitude[33:-1]))
+    left, mid, right = np.log(magnitude[peak - 1 : peak + 2])
+    period = 16 * n / (peak + reference_parabolic_offset(left, mid, right))
+    ac = np.correlate(v, v, mode="full")[n - 1 :] / (v @ v)
+    r = lambda lag: float(np.interp(lag, np.arange(n), ac))
+    return r(period) - r(period / 2.0)
+
+
 def test_estimate_period_white_noise_errors():
-    # threshold 0.2 verified against the peak distribution over 100 seeds
+    # Over 100 seeds white noise reads a comb contrast of at most 0.110,
+    # well below the 0.5 that estimate_period asks of a pitch.
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(seed)
         proj = rng.uniform(0.0, 1.0, 1380)
-        v = proj - proj.mean()
-        ac = np.correlate(v, v, mode="full")[len(v) - 1 :] / (v @ v)
-        worst = max(worst, float(ac[5 : len(v) // 3 + 1].max()))
-        with pytest.raises(GridError):
+        worst = max(worst, comb_contrast(proj))
+        with pytest.raises(GridError, match="no periodic structure"):
             estimate_period(proj)
-    assert worst < 0.2
+    assert worst < 0.15
+
+
+def test_autocorrelation_interpolates_between_integer_lags():
+    # _autocorrelation at a fractional lag is the full autocorrelation
+    # interpolated linearly between the integer lags around it.
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=300)
+    ac = np.correlate(v, v, mode="full")[299:] / (v @ v)
+    for lag in (0.0, 1.25, 4.5, 23.0, 26.7, 149.9):
+        assert grid._autocorrelation(v, lag) == pytest.approx(np.interp(lag, np.arange(300), ac), rel=1e-12, abs=1e-15)
 
 
 def test_estimate_period_constant_projection_errors():
-    with pytest.raises(GridError):
+    with pytest.raises(GridError, match="no periodic structure"):
         estimate_period(np.full(300, 7.0))
 
 
-def test_refined_peak_matches_negated_valley_form():
-    # The refined peak once took the vertex of the negated samples and a second
-    # denominator for the value; negation commutes with IEEE rounding, so the
-    # direct form gives the same bits.
-    rng = np.random.default_rng(3)
-    triples = rng.normal(size=(500, 3)).tolist() + [[0.2, 0.9, 0.2], [0.1, 0.2, 0.3], [0.5, 0.5, 0.5]]
-    for left, mid, right in triples:
-        ac = np.array([left, mid, right])
-        offset = reference_parabolic_offset(-left, -mid, -right)
-        denom = left - 2.0 * mid + right
-        value = mid if abs(denom) < 1e-12 else mid - 0.25 * (left - right) * offset
-        assert grid._refined_peaks(ac, np.array(1)) == (1 + offset, value)
+def test_estimate_period_degenerate_support_names_its_length():
+    # The Hann window zeroes the two ends of this 20-bin support, and the mean
+    # (10) the 18 bins between: the spectrum vanishes, and the log-parabola
+    # would divide by zero.  A support shorter than 5 bins has no bin above 2
+    # periods per support with a neighbour on each side.
+    with pytest.raises(GridError, match="20-bin support"):
+        estimate_period(np.array([5.0] + [10.0] * 18 + [15.0]))
+    with pytest.raises(GridError, match="support of 4 bins too short"):
+        estimate_period(np.array([1.0, 3.0, 2.0, 5.0]))
 
 
 def test_detect_edges_noise_free_within_half_px():
@@ -118,16 +139,15 @@ def test_detect_edges_noise_free_within_half_px():
 
 
 def test_detect_edges_non_integer_pitch():
-    # Pitches of 23.5, 10.5 and 6.5 px: on the integer lag grid a multiple
-    # of the pitch (47, 21, 13) scores about as high as the pitch itself.
+    # Pitches of 23.5, 10.5 and 6.5 px, which fall between the bins of the
+    # zero-padded spectrum.
     for cell, gap in ((20.5, 3.0), (9.0, 1.5), (5.2, 1.3)):
         config = synthgen.SynthConfig(grid_rows=18, grid_cols=18, cell_size_px=cell, gap_px=gap,
                                       lum_sigma=4, noise_sigma=0.0, seed=6)
         frame, _, _ = synthgen.generate(config)
         px, _ = project(frame)
         period = estimate_period(px)
-        assert period == reference_estimate_period(px)
-        assert abs(period - config.pitch) < 0.1
+        assert abs(period - config.pitch) < 0.01
         edges = detect_edges(px, period)
         truth = np.arange(19) * config.pitch + synthgen.LES_MARGIN_PX
         assert len(edges) == 19
@@ -181,34 +201,36 @@ def reference_parabolic_offset(left: float, mid: float, right: float) -> float:
 
 
 def reference_estimate_period(projection):
-    """estimate_period as it was before the first-strong-peak rule: the
-    highest autocorrelation lag, refined, then its 1/5 .. 1/2 sub-multiples
-    searched for a refined peak at least 0.85 times as high."""
+    """estimate_period as it was before the spectral pitch: every local
+    maximum of the autocorrelation at lags 5 .. n/3 refined parabolically,
+    and the first refined peak at least 0.85 times as high as the highest."""
     v = projection - projection.mean()
     n = len(v)
-    max_lag = n // 3
     ac = np.correlate(v, v, mode="full")[n - 1 :] / float(v @ v)
+    lags = np.arange(5, n // 3 + 1)
+    peaks = lags[(ac[lags] >= ac[lags - 1]) & (ac[lags] > ac[lags + 1])]
+    left, mid, right = ac[peaks - 1], ac[peaks], ac[peaks + 1]
+    offset = grid._parabolic_offset(left, mid, right)
+    positions, values = peaks + offset, mid - 0.25 * (left - right) * offset
+    if not np.any(values >= 0.2):
+        raise GridError("no autocorrelation peak reaches 0.2; no periodic structure")
+    return float(positions[np.argmax(values >= 0.85 * values.max())])
 
-    def refined(index):
-        left, mid, right = float(ac[index - 1]), float(ac[index]), float(ac[index + 1])
-        offset = reference_parabolic_offset(left, mid, right)
-        return index + offset, mid - 0.25 * (left - right) * offset
 
-    lags = np.arange(grid._MIN_LAG, max_lag + 1)
-    best = int(lags[np.argmax(ac[lags])])
-    if ac[best] < grid._MIN_PEAK:
-        raise GridError("no periodic structure")
-    period, peak_value = refined(best)
-    for divisor in (5, 4, 3, 2):
-        candidate = period / divisor
-        index = int(round(candidate))
-        if candidate < grid._MIN_LAG or index < 2 or index > max_lag - 1:
+def reference_fit_phase(smoothed, period, lo, hi):
+    """The edge-comb phase as it was before the closed form: the 0.25 px step
+    in [0, period) whose comb samples the smoothed support lowest on average."""
+    positions = np.arange(len(smoothed), dtype=np.float64)
+    best_phase, best_score = 0.0, np.inf
+    for phase in np.arange(0.0, period, 0.25):
+        start = phase + np.ceil((lo - phase) / period) * period
+        teeth = np.arange(start, hi + 1e-9, period)
+        if teeth.size == 0:
             continue
-        local = index - 1 + int(np.argmax(ac[index - 1 : index + 2]))
-        sub_period, sub_value = refined(local)
-        if sub_value >= 0.85 * peak_value and abs(sub_period * divisor - period) < 1.0:
-            return sub_period
-    return period
+        score = float(np.interp(teeth, positions, smoothed).mean())
+        if score < best_score:
+            best_score, best_phase = score, float(phase)
+    return best_phase
 
 
 def reference_window_minimum(smoothed, nominal, half_width, lo, hi, paths=None):
@@ -245,17 +267,17 @@ def reference_window_minimum(smoothed, nominal, half_width, lo, hi, paths=None):
     return float(candidates[best])
 
 
-def reference_detect_edges(projection, period, paths=None):
+def reference_detect_edges(projection, period, fit_phase=grid._fit_phase, paths=None):
     """detect_edges as it was before the valley table: one window scan per
     tooth and a dict of measured teeth refitted with del, with the same bound
-    on the last edge.  paths, when given,
+    on the last edge, at the phase fit_phase gives.  paths, when given,
     counts the flat-bottomed valleys taken, the outliers deleted and the
     refits skipped for fewer than 2 measured teeth."""
-    if period <= grid._MIN_LAG - 1:
+    if period <= grid._MIN_PERIOD:
         raise GridError(f"period {period} too small")
     smoothed = grid.smooth(projection)
     lo, hi = grid._support_range(smoothed)
-    phase = grid._fit_phase(smoothed, period, lo, hi)
+    phase = fit_phase(smoothed, period, lo, hi)
     k_min = int(np.ceil((lo - 0.45 * period - phase) / period))
     k_max = int(np.floor((hi + 0.45 * period - phase) / period))
     ks = np.arange(k_min, k_max + 1)
@@ -291,10 +313,10 @@ def reference_detect_edges(projection, period, paths=None):
 
 
 def assert_edges_match_reference(projection, period, paths=None):
-    """detect_edges equals the reference bit for bit, or both raise the same
-    GridError; returns whether edges came out."""
+    """detect_edges equals the reference at the same phase bit for bit, or
+    both raise the same GridError; returns whether edges came out."""
     try:
-        expected = reference_detect_edges(projection, period, paths)
+        expected = reference_detect_edges(projection, period, paths=paths)
     except GridError as exc:
         with pytest.raises(GridError) as raised:
             detect_edges(projection, period)
@@ -306,7 +328,10 @@ def assert_edges_match_reference(projection, period, paths=None):
 
 def test_detect_edges_matches_reference_on_rectified_frames(pixel_maps):
     # The three acceptance maps, and the middle map of the dense benchmark
-    # layout (150x150 cells on a 9.5 px pitch).
+    # layout (150x150 cells on a 9.5 px pitch): the spectral pitch and phase
+    # give the edges of the autocorrelation lag search and the 0.25 px phase
+    # search bit for bit.  Their comb contrast reads at least 1.15, far above
+    # the 0.5 that estimate_period asks.
     frames = [io.read_frame(entry["frame_path"]) for entry in pixel_maps]
     dense, _, _ = synthgen.generate(acceptance_config(
         grid_rows=150, grid_cols=150, cell_size_px=7.0, gap_px=2.5,
@@ -316,8 +341,9 @@ def test_detect_edges_matches_reference_on_rectified_frames(pixel_maps):
     for frame in frames:
         rectified = pipeline._rectify(frame, geometry.detect_corners(frame))
         for projection in grid.project(rectified):
-            assert estimate_period(projection) == reference_estimate_period(projection)
-            assert assert_edges_match_reference(projection, estimate_period(projection))
+            expected = reference_detect_edges(projection, reference_estimate_period(projection), reference_fit_phase)
+            assert detect_edges(projection, estimate_period(projection)).tobytes() == expected.tobytes()
+            assert comb_contrast(projection) > 1.15
 
 
 def random_projection(rng):

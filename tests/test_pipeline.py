@@ -11,7 +11,7 @@ from uled_inspect import features, grid, io, ml, pipeline, synthgen
 from uled_inspect.errors import ConfigError, GridError, PipelineStageError
 from uled_inspect.pipeline import ARTIFACT_NAMES, PipelineConfig, run
 
-from conftest import acceptance_config, put_nan
+from conftest import ACCEPTANCE_MAP_PARAMS, acceptance_config, put_nan
 
 
 def small_map(tmp_path, **overrides):
@@ -317,21 +317,66 @@ def test_grid_running_off_the_frame_fails_in_reconstruct_grid(tmp_path):
 
 
 def test_gap_free_les_fails_in_reconstruct_grid(tmp_path):
-    # With no dark gap between cells the projections hold no period, and the
-    # autocorrelation only decays from lag 0.  No peak backs a pitch, so the
-    # stage fails instead of laying a grid of 5 px cells; nor does a box.
+    # With no dark gap between cells the projections hold no period: the
+    # spectrum's peak backs no comb.  The comb contrast r(p) - r(p/2) reads at
+    # most 0.174 on these frames (the upright x projection), against the 0.5
+    # that a pitch needs and the 1.0 or more of a frame of cells, so the stage
+    # fails instead of laying a grid; nor does a box.
     for name, pose in (("upright", dict(seed=101)),
                        ("map202", dict(rotation_deg=1.0, perspective_strength=0.012, seed=202))):
         frame, _, _ = synthgen.generate(acceptance_config(grid_rows=30, grid_cols=30, gap_px=0.0, **pose))
         io.write_frame(frame, tmp_path / f"{name}.ulf")
-        with pytest.raises(PipelineStageError, match="no autocorrelation peak reaches 0.2") as info:
+        with pytest.raises(PipelineStageError, match="no periodic structure") as info:
             run(PipelineConfig(frame_path=str(tmp_path / f"{name}.ulf"), output_dir=str(tmp_path / name)))
         assert info.value.stage == "reconstruct_grid"
         assert not (tmp_path / name).exists()
     box = np.zeros(1400)
     box[200:1200] = 1000.0
-    with pytest.raises(GridError, match="no autocorrelation peak"):
+    with pytest.raises(GridError, match="no periodic structure"):
         grid.estimate_period(box)
+
+
+def analyze_at_pitch(tmp_path, pitch, pose):
+    """A 100x100-cell acceptance frame at the given pitch (75% fill) and pose,
+    analyzed against its own truth."""
+    config = acceptance_config(grid_rows=100, grid_cols=100, cell_size_px=0.75 * pitch, gap_px=0.25 * pitch, **pose)
+    frame, defects, _ = synthgen.generate(config)
+    io.write_frame(frame, tmp_path / "frame.ulf")
+    io.write_defect_map(defects, tmp_path / "defects.csv")
+    return run(PipelineConfig(frame_path=str(tmp_path / "frame.ulf"), output_dir=str(tmp_path / "out"),
+                              defects_path=str(tmp_path / "defects.csv")))
+
+
+@pytest.mark.parametrize("pitch, pose", [
+    pytest.param(pitch, pose, id=f"{pitch:g}px-map{pose['seed']}")
+    for pitch, pose in [(4.0, ACCEPTANCE_MAP_PARAMS[1]), (4.0, ACCEPTANCE_MAP_PARAMS[2])]
+    + [(5.0, pose) for pose in ACCEPTANCE_MAP_PARAMS]
+])
+def test_small_pitch_reconstructs_the_full_grid(tmp_path, pitch, pose):
+    # Just above the 4 px floor: the pitch reads 4.0003 to 4.0008 px at the
+    # two tilted poses.
+    report = analyze_at_pitch(tmp_path, pitch, pose).report
+    assert (report["grid_metrics"]["n_rows"], report["grid_metrics"]["n_cols"]) == (100, 100)
+    assert report["confusion"]["accuracy"] >= 0.995
+    assert report["confusion"]["false_positive_rate"] == 0.0
+
+
+@pytest.mark.parametrize("pitch, pose, message", [
+    pytest.param(4.0, ACCEPTANCE_MAP_PARAMS[0], r"period 3\.99999\d* too small", id="4px-map101"),
+    pytest.param(3.0, ACCEPTANCE_MAP_PARAMS[0], r"period 3\.0000\d* too small", id="3px-map101"),
+    pytest.param(3.0, ACCEPTANCE_MAP_PARAMS[2], r"period 3\.000\d* too small", id="3px-map303"),
+    pytest.param(2.5, ACCEPTANCE_MAP_PARAMS[0], r"period 2\.4999\d* too small", id="2.5px-map101"),
+    pytest.param(2.5, ACCEPTANCE_MAP_PARAMS[2], "no periodic structure", id="2.5px-map303"),
+])
+def test_pitch_at_or_below_4px_fails_in_reconstruct_grid(tmp_path, pitch, pose, message):
+    # detect_edges takes no pitch of 4 px or less, and the upright 4 px
+    # frame reads just under 4.  At the map-303 pose the warp blurs a 2.5 px
+    # comb to a contrast of 0.39, so it fails as no periodic structure.  No
+    # run lays a grid of twice the pitch.
+    with pytest.raises(PipelineStageError, match=message) as info:
+        analyze_at_pitch(tmp_path, pitch, pose)
+    assert info.value.stage == "reconstruct_grid"
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_json_schema(tmp_path):
