@@ -8,6 +8,8 @@ so its center sits at (i + 0.5, j + 0.5).
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,13 +123,35 @@ def apply_homography_array(h: Homography, points: np.ndarray) -> np.ndarray:
 # cache, and none is output-sized.  Timed on acceptance map 2 (a 1401x1401
 # output, 3 planes; 2-vCPU VM, 4 MiB L2), warp_frame took a median 0.24 s with
 # bands of 8 or 16 rows, 0.26 s with 4, 0.28 s with 32, 0.31 s with 64 and
-# 0.35 s with 128.
+# 0.35 s with 128.  Split across two threads, bands of 8 rows were slower
+# than bands of 16.
 _BAND_ROWS = 16
+
+# Threads that share the bands of a plane proven inside its source (the
+# calling thread and one helper), never more than the CPUs the process may
+# run on.
+_WARP_THREADS = 2
+
+# A band is proven inside its source when its corner taps lie at least this
+# many pixels inside it (_inside_bands).
+_INSIDE_EPS = 1e-6
+
+# A bound on the rounding error of each product, sum and quotient of the tap
+# coordinates, relative to the size of its terms: about 9 times 2**-53.
+_ROUNDING = 1e-15
 
 
 def _bands(height: int):
     """Row slices of at most _BAND_ROWS rows that cover range(height)."""
     return (slice(r0, min(r0 + _BAND_ROWS, height)) for r0 in range(0, height, _BAND_ROWS))
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _band_taps(inv: np.ndarray, band: slice, out_width: int, src_shape: tuple[int, int]):
@@ -172,41 +196,194 @@ def _band_taps(inv: np.ndarray, band: slice, out_width: int, src_shape: tuple[in
     return iu, iv, du, dv
 
 
+def _inside_bands(inv: np.ndarray, out_width: int, out_height: int, src_shape: tuple[int, int]) -> np.ndarray:
+    """Per band of _bands(out_height), whether it is proven that every
+    sample's four taps (`_band_taps`) lie inside a source of shape src_shape,
+    no sample maps to the horizon and neither clamp moves a tap.
+
+    The proof looks at the band's four corner sample centers only.  Where w
+    has one sign at all four, it has that sign on the whole band (w is affine
+    in the output coordinates), and the projective map sends the band's
+    rectangle to the convex quad whose vertices are the mapped corners.  So
+    every sample's u - 0.5 and v - 0.5 lie between their corner values, and
+    with those in [eps, w_src - 1 - eps] and [eps, h_src - 1 - eps] its (0, 0)
+    tap lies in [0, w_src - 2] x [0, h_src - 2].  The proof also bounds the
+    rounding error of every sample's computed w, u and v: |w| stays above
+    the horizon threshold and u, v move by less than eps / 2, so the computed
+    taps obey the same bounds.  "Not proven" means only that the proof failed.
+    """
+    h_src, w_src = src_shape
+    r0 = np.arange(0, out_height, _BAND_ROWS)
+    # The corners of each band, (x, y) in the order TL, TR, BL, BR.
+    y = np.repeat(np.column_stack([r0 + 0.5, np.minimum(r0 + _BAND_ROWS, out_height) - 0.5]), 2, axis=1)
+    x = np.array([0.5, out_width - 0.5, 0.5, out_width - 0.5])
+    ax, by, c = inv[:, 0, None, None] * x, inv[:, 1, None, None] * y, inv[:, 2, None, None]
+    num_u, num_v, w = ax + by + c
+    # The size of each coordinate's terms is largest at a corner (it is
+    # convex), as are |u| and |v| (the quad's vertices); |w| is smallest there.
+    size = (np.abs(ax) + np.abs(by) + np.abs(c)).max(axis=2)
+    dw = _ROUNDING * size[2]
+    low_w = np.abs(w).min(axis=1) - 2 * dw
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, v = num_u / w - 0.5, num_v / w - 0.5
+        reach = np.maximum(np.abs(u), np.abs(v)).max(axis=1) + 1.0
+        duv = _ROUNDING * ((size[:2].max(axis=0) + reach * size[2]) / low_w + reach)
+    return (
+        ((w > 0).all(axis=1) | (w < 0).all(axis=1))
+        & (low_w > _DET_EPS)
+        & (duv < _INSIDE_EPS / 2)
+        & (u.min(axis=1) >= _INSIDE_EPS)
+        & (u.max(axis=1) <= w_src - 1 - _INSIDE_EPS)
+        & (v.min(axis=1) >= _INSIDE_EPS)
+        & (v.max(axis=1) <= h_src - 1 - _INSIDE_EPS)
+    )
+
+
+def _sum_taps(src, row, base, du, dv, ru, rv, acc, weight, tap=None):
+    """Sum the four taps of each sample into acc: the samples of the flat
+    source src (row samples per row) at base, base + 1, base + row and
+    base + row + 1, weighted (1 - du) * (1 - dv), du * (1 - dv),
+    (1 - du) * dv and du * dv (ru = 1 - du, rv = 1 - dv), in that order.
+
+    Every index is in range, so mode="clip" moves none; the default "raise"
+    would copy into a buffer before writing tap.  A float32 sample times a
+    float64 weight equals its float64 copy times it."""
+    np.multiply(ru, rv, out=acc)
+    acc *= src.take(base, out=tap, mode="clip")
+    for fu, fv, shifted in ((du, rv, src[1:]), (ru, dv, src[row:]), (du, dv, src[row + 1 :])):
+        np.multiply(fu, fv, out=weight)
+        weight *= shifted.take(base, out=tap, mode="clip")
+        acc += weight
+
+
+def _band_scratch(shape: tuple[int, int], dtype) -> list[np.ndarray]:
+    """The eight band arrays of a _warp_inside call: w, u, v, 1 - du, 1 - dv
+    and the band's sum in float64, the flat tap index in int64 and the
+    gathered taps in the source's dtype."""
+    return [*(np.empty(shape) for _ in range(6)), np.empty(shape, dtype=np.int64), np.empty(shape, dtype=dtype)]
+
+
+def _warp_inside(src: np.ndarray, inv: np.ndarray, row: int, bands, result: np.ndarray, scratch) -> None:
+    """Warp the given bands of result from the flat source src (row samples
+    per row), every band of which _inside_bands proved inside it, in the
+    arrays of scratch (_band_scratch).
+
+    The taps are those of _band_taps, made by the same operations in the same
+    order, less the horizon mask and the clamps, which change nothing in a
+    proven band.  The band arrays are reused: w becomes the weight of one
+    tap, and the whole-number tap coordinates become 1 - du and 1 - dv once
+    the flat index is cast."""
+    out_width = result.shape[1]
+    w_buf, u_buf, v_buf, ru_buf, rv_buf, acc_buf, base_buf, tap_buf = scratch
+    gx = np.arange(out_width) + 0.5
+    wx, ux, vx = inv[2, 0] * gx, inv[0, 0] * gx, inv[1, 0] * gx
+    for band in bands:
+        rows = band.stop - band.start
+        w, u, v, ru, rv, acc = (buf[:rows] for buf in (w_buf, u_buf, v_buf, ru_buf, rv_buf, acc_buf))
+        base, tap = base_buf[:rows], tap_buf[:rows]
+        gy = (np.arange(band.start, band.stop) + 0.5)[:, None]
+        np.add(wx, inv[2, 1] * gy, out=w)
+        w += inv[2, 2]
+        for coord, cx, k in ((u, ux, 0), (v, vx, 1)):
+            np.add(cx, inv[k, 1] * gy, out=coord)
+            coord += inv[k, 2]
+            coord /= w
+            coord -= 0.5
+        iu = np.floor(u, out=ru)
+        iv = np.floor(v, out=rv)
+        u -= iu
+        v -= iv
+        iv *= row
+        iv += iu
+        np.copyto(base, iv, casting="unsafe")
+        np.subtract(1, u, out=ru)
+        np.subtract(1, v, out=rv)
+        _sum_taps(src, row, base, u, v, ru, rv, acc, w, tap)
+        result[band] = acc
+
+
 def warp_plane(plane: np.ndarray, inv: np.ndarray, out_width: int, out_height: int) -> np.ndarray:
     """Bilinear inverse warp of one plane; sources outside it contribute 0.
 
-    Each band's taps (`_band_taps`) are computed right before its gather and
-    dropped after it, so no output-sized array but the result is made.  A
-    band whose four taps all lie inside the plane gathers them from the plane
-    itself (through `np.require(plane, requirements="CA")`, which copies only
-    a plane that is not C-contiguous and aligned).  A band with a tap outside
-    it, a horizon sample's among them, gathers from `np.pad(plane, 2)`,
-    padded once, at the first such band, so the padded copy is made only for
-    a plane with bands that leave the source.  There an outside tap adds
+    The result is a new (out_height, out_width) array of
+    `np.result_type(plane, np.float32)`: float32 for a MeasurementFrame
+    plane, float64 for a float64 plane.  It is made band by band, 16 output
+    rows at a time, while a band's taps and weights are in cache; no
+    output-sized array but the result is made.  Each band is summed in a
+    reused float64 buffer and stored into the result, which rounds each
+    sample as `astype` of a whole float64 warp would, so a float32 plane is
+    warped with no output-sized float64 array.  Making the taps, forming the
+    weights, gathering and summing are all elementwise, so banding changes no
+    output bit.
+
+    First every band is classified from its four corner sample centers
+    (`_inside_bands`).  When every band is proven to lie inside the plane,
+    as in the rectify of a camera frame whose light-emitting surface stays
+    clear of the frame's edge, the bands are gathered from the plane itself
+    (through `np.require(plane, requirements="CA")`, which copies only a
+    plane that is not C-contiguous and aligned) by `_warp_inside`, which
+    skips the horizon mask, the clamps and the min/max test: none of them
+    changes a bit of a proven band.  The bands are then interleaved between
+    the calling thread and one helper thread (none where the process may run
+    on one CPU only).  Each thread has its own band buffers and writes its
+    own rows of the result, and the call returns or raises only after the
+    helper has finished; the helper is started and joined within the call,
+    so no thread outlives it.
+
+    Any other plane is warped on the calling thread, as every generator
+    warp is (each band reaches the margin around the LES raster).  That
+    warp runs right after the generator's BLAS products, whose threads keep
+    spinning for a while after they return; a helper thread there gained no
+    time and raised the peak RSS.  A band whose four taps all lie inside the
+    plane gathers them from the plane itself.  A band with a tap outside it,
+    a horizon sample's among them, gathers from `np.pad(plane, 2)`, padded
+    once, at the first such band, so the padded copy is made only for a
+    plane with bands that leave the source.  There an outside tap adds
     `weight * +0.0 = +0.0`, the weight being finite and >= 0: exactly the
     `0.0 * sample` of a tap masked to weight 0.0, for a sample >= 0.  So for
     planes that are finite and >= 0 (every MeasurementFrame plane and every
     ideal plane of the generator) the result is bit-identical to gathering
-    each tap only where it lies inside the source: the taps are summed in the
-    same order with the same weight expressions.
-
-    The result is a new (out_height, out_width) array of
-    `np.result_type(plane, np.float32)`: float32 for a MeasurementFrame
-    plane, float64 for a float64 plane.  Each band is summed in one reused
-    float64 buffer and stored into the result, which rounds each sample as
-    `astype` of a whole float64 warp would, so a float32 plane is warped with
-    no output-sized float64 array.  The result is allocated before the
-    padded source; the other order raised the benchmark's dense peak RSS by
-    about 4 MiB (2-vCPU VM, glibc malloc).
-
-    The gather runs band by band, while a band's weights and taps are in
-    cache.  Making the taps, forming the weights from `du`/`dv`, gathering and
-    summing are all elementwise, so banding changes no output bit.
+    each tap only where it lies inside the source, whichever path and
+    however many threads warp it: the taps are summed in the same order with
+    the same weight expressions.  The result is allocated before the padded
+    source; the other order raised the benchmark's dense peak RSS by about
+    4 MiB (2-vCPU VM, glibc malloc).
     """
     result = np.empty((out_height, out_width), dtype=np.result_type(plane, np.float32))
     h_src, w_src = plane.shape
-    # A float32 sample times a float64 weight equals its float64 copy times it.
     inside = np.require(plane, requirements="CA").ravel()
+    if _inside_bands(inv, out_width, out_height, plane.shape).all():
+        bands = list(_bands(out_height))
+        threads = min(_WARP_THREADS, _cpus(), len(bands))
+        # Every thread's band arrays are made here, on the calling thread,
+        # after the result: made on the helper, they came from a malloc arena
+        # of its own, and the benchmark's peak RSS rose by 3-10 MiB (glibc).
+        scratch = [_band_scratch((min(_BAND_ROWS, out_height), out_width), inside.dtype) for _ in range(threads)]
+        failures = []
+
+        def warp_share(k):
+            try:
+                _warp_inside(inside, inv, w_src, bands[k::threads], result, scratch[k])
+            except Exception as exc:  # raised again on the calling thread
+                failures.append(exc)
+
+        # Thread k warps bands k, k + threads, ...; thread 0 is the calling
+        # thread, and every helper is joined before the call returns.  With
+        # a concurrent.futures executor instead, the benchmark's generate
+        # peak RSS read 131.8 MiB, not 123.9 (glibc heap layout).
+        helpers = []
+        try:
+            for k in range(1, threads):
+                helper = threading.Thread(target=warp_share, args=(k,))
+                helper.start()
+                helpers.append(helper)
+            _warp_inside(inside, inv, w_src, bands[::threads], result, scratch[0])
+        finally:
+            for helper in helpers:
+                helper.join()
+        if failures:
+            raise failures[0]
+        return result
     padded = None
     # Band buffers, reused: the band's float64 sum and the weight of one tap.
     acc_buf = np.empty((min(_BAND_ROWS, out_height), out_width))
@@ -227,16 +404,8 @@ def warp_plane(plane: np.ndarray, inv: np.ndarray, out_width: int, out_height: i
         iv += iu
         base = iv.astype(np.int64)
         rows = band.stop - band.start
-        acc, weight = acc_buf[:rows], weight_buf[:rows]
-        # Weights (1 - du) * (1 - dv), du * (1 - dv), (1 - du) * dv, du * dv,
-        # each times its tap, summed in that order.
-        ru, rv = 1 - du, 1 - dv
-        np.multiply(ru, rv, out=acc)
-        acc *= src.take(base)
-        for fu, fv, tap in ((du, rv, src[1:]), (ru, dv, src[row:]), (du, dv, src[row + 1 :])):
-            np.multiply(fu, fv, out=weight)
-            weight *= tap.take(base)
-            acc += weight
+        acc = acc_buf[:rows]
+        _sum_taps(src, row, base, du, dv, 1 - du, 1 - dv, acc, weight_buf[:rows])
         result[band] = acc
     return result
 
@@ -254,6 +423,10 @@ def warp_frame(frame: MeasurementFrame, h: Homography, out_width: int, out_heigh
     bytes per output sample and plane, is the only output-sized array made,
     besides band temporaries.  A source plane is copied only when a band of
     its warp has a tap outside it: warp_plane then pads it with zeros, once.
+    When every band of a plane is proven to lie inside it, as in the rectify
+    of a frame whose light-emitting surface stays clear of the frame's edge,
+    warp_plane splits the bands between two threads, with the same bits as
+    one.
 
     frame.planes is iterated once, in order, and each source plane is dropped
     before the next is taken.  So frame may also be any object whose planes

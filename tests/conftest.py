@@ -1,9 +1,10 @@
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from uled_inspect import io, pipeline, synthgen
+from uled_inspect import geometry, io, pipeline, synthgen
 
 
 def make_frame(values, chroma_x=None, chroma_y=None):
@@ -21,6 +22,26 @@ def put_nan(frame_path, plane: int, index: int) -> None:
     offset = io._HEADER.size + 4 * (plane * width * height + index)
     blob[offset : offset + 4] = np.float32("nan").tobytes()
     frame_path.write_bytes(bytes(blob))
+
+
+def warp_on_threads(monkeypatch, threads=None):
+    """Make geometry.warp_plane split a plane proven inside its source across
+    `threads` threads, whatever CPUs the process may run on (None: as many
+    as it would).  Returns the list to which each geometry._warp_inside call
+    appends (thread id, first rows of its bands); a plane warped by the
+    other loop appends nothing."""
+    if threads is not None:
+        monkeypatch.setattr(geometry, "_WARP_THREADS", threads)
+        monkeypatch.setattr(geometry, "_cpus", lambda: threads)
+    calls = []
+    warp_inside = geometry._warp_inside
+
+    def spy(src, inv, row, bands, result, scratch):
+        calls.append((threading.get_ident(), [band.start for band in bands]))
+        warp_inside(src, inv, row, bands, result, scratch)
+
+    monkeypatch.setattr(geometry, "_warp_inside", spy)
+    return calls
 
 
 # The three benchmark pixel maps: same array, increasing rotation/perspective.

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from uled_inspect.geometry import (
     warp_frame,
 )
 
-from conftest import make_frame
+from conftest import make_frame, warp_on_threads
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -316,29 +317,39 @@ INSIDE_THEN_PAD = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
 
 def source_plane(case, values):
     """values as the plane of a case: a copy that starts 1 byte into its
-    buffer ("misaligned"), a mirrored view ("non_contiguous"), or values."""
-    if case == "misaligned":
+    buffer ("misaligned", "inside_misaligned"), a mirrored view
+    ("non_contiguous", "inside_non_contiguous"), or values."""
+    if case.endswith("misaligned"):
         buffer = bytearray(values.nbytes + 1)
         plane = np.frombuffer(buffer, dtype=values.dtype, offset=1).reshape(values.shape)
         plane[...] = values
         assert not plane.flags.aligned
         return plane
-    if case == "non_contiguous":
+    if case.endswith("non_contiguous"):
         plane = values[:, ::-1].copy()[:, ::-1]
         assert not plane.flags.c_contiguous and np.array_equal(plane, values)
         return plane
     return values
 
 
+# The cases whose every band warp_plane proves inside the source: ALL_INSIDE
+# on 4 whole bands, on a ragged last band, on one row, and from a misaligned
+# or a non-contiguous plane.
+PROVEN_INSIDE = {
+    "all_inside": 64, "inside_ragged": RAGGED_HEIGHTS["ragged"], "inside_one_row": 1,
+    "inside_misaligned": 64, "inside_non_contiguous": 64,
+}
+
+
 @pytest.mark.parametrize(
     "case",
     [
         "identity", "rotation_perspective", "ones", "horizon", "past_the_pad", *RAGGED_HEIGHTS, "horizon_ragged",
-        "all_inside", "inside_then_pad", "misaligned", "non_contiguous",
+        *PROVEN_INSIDE, "inside_then_pad", "misaligned", "non_contiguous",
     ],
 )
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype):
+def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype, monkeypatch):
     rng = np.random.default_rng(21)
     shape = (40, 50)
     plane = rng.uniform(0, 80, size=shape).astype(dtype)
@@ -363,8 +374,8 @@ def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype):
         # and on into a one-row last band.
         inv = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1 / 32.5, 0.0, 1.0]])
         out_height = geometry._BAND_ROWS + 1
-    elif case == "all_inside":
-        inv = ALL_INSIDE
+    elif case in PROVEN_INSIDE:
+        inv, out_height = ALL_INSIDE, PROVEN_INSIDE[case]
     else:
         # A misaligned or a non-contiguous plane is read both straight and
         # through its padded copy.
@@ -376,7 +387,7 @@ def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype):
     h_src, w_src = shape
     taps = [geometry._band_taps(inv, band, out_width, shape)[:2] for band in geometry._bands(out_height)]
     reads_pad = [(iu < 0) | (iu > w_src - 2) | (iv < 0) | (iv > h_src - 2) for iu, iv in taps]
-    if case == "all_inside":
+    if case in PROVEN_INSIDE:
         assert not any(band.any() for band in reads_pad)
     elif case in ("inside_then_pad", "misaligned", "non_contiguous"):
         # The first band reads the plane itself, a later one its padded copy.
@@ -388,15 +399,188 @@ def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype):
             iu, iv = (np.concatenate(axis) for axis in zip(*taps))
             assert np.mean((iv == -2) | (iu == -2)) > 0.5
     # The float64 warp of the plane's float64 copy is the oracle, bit for
-    # bit; a float32 plane warps to that warp rounded to float32.
-    out = geometry.warp_plane(plane.astype(np.float64, copy=False), inv, out_width, out_height)
-    assert out.dtype == np.float64 and out.shape == (out_height, out_width)
-    assert out.tobytes() == expected.tobytes()
-    assert not np.signbit(out).any()
-    if dtype == np.float32:
-        out32 = geometry.warp_plane(plane, inv, out_width, out_height)
-        assert out32.dtype == np.float32 and out32.shape == (out_height, out_width)
-        assert out32.tobytes() == expected.astype(np.float32).tobytes()
+    # bit; a float32 plane warps to that warp rounded to float32.  So it is
+    # on one thread and on two, where only a plane whose bands are all
+    # proven inside its source is split: bands 0, 2, ... on the calling
+    # thread and 1, 3, ... on a helper.
+    caller = threading.get_ident()
+    bands = list(range(0, out_height, geometry._BAND_ROWS))
+    warps = 2 if dtype == np.float32 else 1
+    for threads in (1, 2):
+        with monkeypatch.context() as patch:
+            calls = warp_on_threads(patch, threads)
+            out = geometry.warp_plane(plane.astype(np.float64, copy=False), inv, out_width, out_height)
+            assert out.dtype == np.float64 and out.shape == (out_height, out_width)
+            assert out.tobytes() == expected.tobytes()
+            assert not np.signbit(out).any()
+            if dtype == np.float32:
+                out32 = geometry.warp_plane(plane, inv, out_width, out_height)
+                assert out32.dtype == np.float32 and out32.shape == (out_height, out_width)
+                assert out32.tobytes() == expected.astype(np.float32).tobytes()
+        if case not in PROVEN_INSIDE:
+            assert calls == []
+        elif threads == 1 or len(bands) == 1:
+            assert calls == [(caller, bands)] * warps
+        else:
+            assert sorted(starts for _, starts in calls) == sorted([bands[::2], bands[1::2]] * warps)
+            assert all((thread == caller) == (starts == bands[::2]) for thread, starts in calls)
+
+
+def test_warp_plane_runs_no_more_threads_than_cpus(monkeypatch):
+    # A plane proven inside its source is split across two threads, or
+    # warped on the calling thread alone where the process may run on one
+    # CPU (as under `taskset -c 0`), with the same bits.
+    calls = warp_on_threads(monkeypatch)
+    plane = np.random.default_rng(24).uniform(0, 80, size=(40, 50))
+    out = geometry.warp_plane(plane, ALL_INSIDE, 72, 64)
+    assert out.tobytes() == masked_warp_oracle(plane, ALL_INSIDE, 72, 64).tobytes()
+    assert len(calls) == len({thread for thread, _ in calls}) == min(2, geometry._cpus())
+
+
+# The source (height, width) and the output width and height of the corner
+# proof's tests: 5 bands of 64 samples.
+PROOF_SHAPE, PROOF_OUT = (90, 100), (64, 80)
+
+
+def exact_inside_band(inv, band):
+    """The exact test of a band: every sample's (0, 0) tap (_band_taps) lies
+    in [0, w_src - 2] x [0, h_src - 2], and no sample maps to the horizon."""
+    (h_src, w_src), out_width = PROOF_SHAPE, PROOF_OUT[0]
+    iu, iv, _, _ = geometry._band_taps(inv, band, out_width, PROOF_SHAPE)
+    gx = np.arange(out_width) + 0.5
+    gy = (np.arange(band.start, band.stop) + 0.5)[:, None]
+    w = inv[2, 0] * gx + inv[2, 1] * gy + inv[2, 2]
+    return bool(
+        np.abs(w).min() >= 1e-12 and iu.min() >= 0 and iu.max() <= w_src - 2 and iv.min() >= 0 and iv.max() <= h_src - 2
+    )
+
+
+def random_inverse(rng, max_scale, max_offset):
+    """A rotation by -45 to 45 degrees, scaled by 0.3 to max_scale, with a
+    perspective term, that maps the output's center to within max_offset
+    pixels of the source's center on each axis."""
+    theta = math.radians(rng.uniform(-45.0, 45.0))
+    scale = rng.uniform(0.3, max_scale)
+    c, s = scale * math.cos(theta), scale * math.sin(theta)
+    inv = np.array([[c, -s, 0.0], [s, c, 0.0], [*rng.uniform(-2e-3, 2e-3, size=2), 1.0]])
+    center = np.array([PROOF_OUT[0] / 2, PROOF_OUT[1] / 2, 1.0])
+    target = np.array(PROOF_SHAPE[::-1]) / 2 + rng.uniform(-max_offset, max_offset, size=2)
+    inv[:2, 2] = target * (inv[2] @ center) - inv[:2, :2] @ center[:2]
+    return inv
+
+
+def check_proven_bands(inv):
+    """The proof of each band of inv; every band it proves passes the exact
+    test."""
+    proven = geometry._inside_bands(inv, *PROOF_OUT, PROOF_SHAPE)
+    bands = list(geometry._bands(PROOF_OUT[1]))
+    assert proven.shape == (len(bands),)
+    for band, inside in zip(bands, proven):
+        assert not inside or exact_inside_band(inv, band), (inv, band)
+    return proven, bands
+
+
+def test_bands_proven_inside_pass_the_exact_test():
+    rng = np.random.default_rng(31)
+    proven, exact = 0, 0
+    for _ in range(300):
+        inv = random_inverse(rng, 1.2, 30.0)
+        inside, bands = check_proven_bands(inv)
+        proven += int(inside.sum())
+        exact += sum(exact_inside_band(inv, band) for band in bands)
+    # Some bands leave the source and most stay inside; the proof misses
+    # only bands whose corners lie within 1e-6 px of a limit.
+    assert 0.3 * 1500 < proven == exact < 1500
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["u", "v"])
+def test_band_corner_within_eps_of_a_limit_is_not_proven(axis):
+    # The corner of one band that lies nearest a limit of the source, moved
+    # 1e-7 to 1e-3 px inside or outside it by a translation of the source,
+    # which moves every sample by the same amount; every other corner of
+    # that band lies further inside.
+    rng = np.random.default_rng(32 + axis)
+    limit = PROOF_SHAPE[1 - axis] - 1.0
+    outcomes = set()
+    for _ in range(200):
+        inv = random_inverse(rng, 0.6, 5.0)
+        band = rng.integers(5)
+        rows = band * geometry._BAND_ROWS + np.array([0.5, 0.5, 15.5, 15.5])
+        corners = np.stack([[0.5, PROOF_OUT[0] - 0.5] * 2, rows, np.ones(4)])
+        w = inv[2] @ corners
+        coord = (inv[axis] @ corners) / w - 0.5
+        high = rng.integers(2) == 1
+        k = np.argmax(coord) if high else np.argmin(coord)
+        gap = 10 ** rng.uniform(-7.0, -3.0)
+        inside = rng.integers(2) == 1
+        target = (limit - gap if inside else limit + gap) if high else (gap if inside else -gap)
+        inv[axis] += (target - coord[k]) * inv[2]
+        moved = (inv[axis] @ corners[:, k]) / (inv[2] @ corners[:, k]) - 0.5
+        assert abs(moved - target) < 1e-9
+        proven, _ = check_proven_bands(inv)
+        if not inside or gap < geometry._INSIDE_EPS:
+            assert not proven[band]
+        elif gap > 1.01 * geometry._INSIDE_EPS:
+            assert proven[band]
+        outcomes.add((bool(proven[band]), bool(inside), bool(high)))
+    assert len(outcomes) == 6
+
+
+@pytest.mark.parametrize("horizon", ["column", "row", "corners_inside"])
+def test_band_with_a_horizon_sample_is_not_proven(horizon):
+    # Output column 32 or row 40 (center 32.5 or 40.5) maps to the horizon;
+    # the bands it crosses are not proven, whatever their corners give.  In
+    # "corners_inside", u and v are nearly constant away from column 32, so
+    # every corner's taps lie inside the source and only the sign of w tells.
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        inv = random_inverse(rng, 0.6, 5.0)
+        inv[2] = [-1 / 32.5, 0.0, 1.0] if horizon != "row" else [0.0, -1 / 40.5, 1.0]
+        if horizon == "corners_inside":
+            inv[:2] = 50 * inv[2] + [0.0, 0.01, 0.0], 45 * inv[2] + [0.0, 0.0, 0.3]
+            # The samples of the first and last columns, each band's corners
+            # among them: inside the source, with w > 0 on the first and < 0
+            # on the last.
+            width, height = PROOF_OUT
+            centers = np.array([[x, y + 0.5, 1.0] for x in (0.5, width - 0.5) for y in range(height)]).T
+            u, v, w = inv @ centers
+            assert (w[:height] > 0).all() and (w[height:] < 0).all()
+            assert (np.abs(u / w - 50) < 1).all() and (np.abs(v / w - 45) < 1).all()
+        proven, bands = check_proven_bands(inv)
+        crossed = [band.start <= 40 < band.stop for band in bands] if horizon == "row" else [True] * len(bands)
+        assert not proven[crossed].any()
+        assert not any(exact_inside_band(inv, band) for band, hit in zip(bands, crossed) if hit)
+
+
+def test_helper_thread_failure_propagates_after_the_callers_share(monkeypatch):
+    calls = warp_on_threads(monkeypatch, 2)
+    caller = threading.get_ident()
+    spied = geometry._warp_inside
+    finished = []
+
+    def fail_on_helper(src, inv, row, bands, result, scratch):
+        if threading.get_ident() != caller:
+            raise RuntimeError("helper failed")
+        spied(src, inv, row, bands, result, scratch)
+        finished.append(bands[0].start)
+
+    monkeypatch.setattr(geometry, "_warp_inside", fail_on_helper)
+    plane = np.random.default_rng(35).uniform(0, 80, size=(40, 50))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper failed"):
+        geometry.warp_plane(plane, ALL_INSIDE, 72, 64)
+    assert finished == [0]
+    assert [starts for _, starts in calls] == [[0, 32]]
+    assert threading.active_count() == before
+
+
+def test_generator_warps_take_the_one_thread_loop(monkeypatch):
+    # Every band of the generator's four warps reaches the margin around the
+    # LES raster, so none is proven inside and no warp is split.
+    calls = warp_on_threads(monkeypatch, 2)
+    config = synthgen.SynthConfig(grid_rows=12, grid_cols=12, cell_size_px=20, gap_px=3, lum_sigma=5, seed=5)
+    synthgen.generate(config)
+    assert calls == []
 
 
 def warp_frame_case(case="horizon"):

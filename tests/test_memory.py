@@ -8,8 +8,10 @@ allocated during the call, so an input made before it is not counted.
 
 - FLOAT32_PLANE and FLOAT64_PLANE are one plane of the output, in float32
   (the rectified frame's planes) or float64 (the generator's warped planes).
-- SLACK per output sample covers the band temporaries of a warp (a few
-  arrays of _BAND_ROWS rows), the frame checks' masks and rounding.
+- SLACK per output sample covers the band scratch of a warp (two bands in
+  flight where a plane's bands are split across two threads, each with its
+  own eight arrays of _BAND_ROWS rows; one band otherwise), the frame
+  checks' masks and rounding.
 - A warp's zero-padded source, np.pad(plane, 2), is a term per source sample,
   and only where a band of the warp has a tap outside the source: the
   rectify of a frame whose taps all stay inside makes no such copy.
@@ -37,13 +39,13 @@ from uled_inspect import features, geometry, grid, io, pipeline, synthgen
 from uled_inspect.errors import PipelineStageError
 from uled_inspect.io import MeasurementFrame
 
-from conftest import acceptance_config
+from conftest import acceptance_config, warp_on_threads
 
 # One warped plane in float64, as warp_plane returns it for a float64 plane.
 FLOAT64_PLANE = 8
 FLOAT32_PLANE = 4
-# Band temporaries (a few arrays of _BAND_ROWS rows), the frame checks' masks
-# and allocator rounding.
+# The band scratch of two threads (eight arrays of _BAND_ROWS rows each), the
+# frame checks' masks and allocator rounding.
 SLACK = 8
 
 
@@ -153,13 +155,29 @@ def test_warp_frame_with_inside_taps_pads_no_plane(rectify_args):
     out, peak = traced_peak(geometry.warp_frame, frame, h, out_w, out_h)
 
     # Every tap lies inside the source, so each band is gathered from the
-    # plane itself: beyond the three float32 output planes, only band
-    # temporaries, about 0.4 float32 source planes.  Padding every plane
-    # before its warp read about 1.4.
+    # plane itself: beyond the three float32 output planes, only the band
+    # scratch of two threads, about 0.5 float32 source planes (0.4 with one
+    # band in flight).  Padding every plane before its warp read about 1.4.
     beyond = peak - 3 * FLOAT32_PLANE * out_w * out_h
     source_plane = FLOAT32_PLANE * frame.width * frame.height
     assert beyond < source_plane, f"{beyond / source_plane:.2f} source planes"
     assert out.has_chroma
+
+
+def test_rectify_warps_the_same_bytes_on_one_thread_and_two(rectify_args, monkeypatch):
+    frame, h, out_w, out_h = rectify_args
+    inv = h.inverse().matrix
+    for plane in frame.planes:
+        calls = warp_on_threads(monkeypatch, 2)
+        two = geometry.warp_plane(plane, inv, out_w, out_h)
+        # Every band is proven inside the source, so the bands are split
+        # between the calling thread and a helper.
+        assert len(calls) == 2 and len({thread for thread, _ in calls}) == 2
+        monkeypatch.undo()
+        calls = warp_on_threads(monkeypatch, 1)
+        assert geometry.warp_plane(plane, inv, out_w, out_h).tobytes() == two.tobytes()
+        assert len(calls) == 1
+        monkeypatch.undo()
 
 
 def test_write_frame_adds_at_most_one_plane(tmp_path):
