@@ -124,12 +124,12 @@ def apply_homography_array(h: Homography, points: np.ndarray) -> np.ndarray:
 # output, 3 planes; 2-vCPU VM, 4 MiB L2), warp_frame took a median 0.24 s with
 # bands of 8 or 16 rows, 0.26 s with 4, 0.28 s with 32, 0.31 s with 64 and
 # 0.35 s with 128.  Split across two threads, bands of 8 rows were slower
-# than bands of 16.
+# than bands of 16; bands of 32 sped the generate benchmark up 7.5% but the
+# acceptance analysis only 1.2%, within its spread, at 0.7 MiB more peak RSS.
 _BAND_ROWS = 16
 
-# Threads that share the bands of a plane proven inside its source (the
-# calling thread and one helper), never more than the CPUs the process may
-# run on.
+# Threads that share the bands of every plane (the calling thread and one
+# helper), never more than the CPUs the process may run on.
 _WARP_THREADS = 2
 
 # A band is proven inside its source when its corner taps lie at least this
@@ -154,52 +154,10 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _band_taps(inv: np.ndarray, band: slice, out_width: int, src_shape: tuple[int, int]):
-    """Bilinear taps of the output rows in band: each sample center pulled
-    back through inv into a plane of shape src_shape (height, width).
-
-    Returns the column `iu` and row `iv` of every sample's (0, 0) tap, whole
-    numbers in float64, and the float64 fractional offsets `du` (columns) and
-    `dv` (rows) that weigh its (0, 0), (0, 1), (1, 0) and (1, 1) taps as
-    (row, column) offsets.  The (0, 0) tap is clamped into [-2, w_src] x
-    [-2, h_src], the zero pad of `np.pad(plane, 2)` around the source.  Every
-    operation is elementwise, so a band gets exactly the values the
-    whole-output expressions would give."""
-    h_src, w_src = src_shape
-    gx = (np.arange(out_width) + 0.5)[None, :]
-    gy = (np.arange(band.start, band.stop) + 0.5)[:, None]
-    # w, u and v are updated in place, each update the next operation of
-    # u = (a * gx + b * gy + c) / w - 0.5 (w stops after "+ c") in its order,
-    # so they get the values of those expressions.
-    w = inv[2, 0] * gx + inv[2, 1] * gy
-    w += inv[2, 2]
-    horizon = np.abs(w) < _DET_EPS
-    w[horizon] = 1.0
-    u = inv[0, 0] * gx + inv[0, 1] * gy
-    u += inv[0, 2]
-    u /= w
-    u -= 0.5
-    v = inv[1, 0] * gx + inv[1, 1] * gy
-    v += inv[1, 2]
-    v /= w
-    v -= 0.5
-    iu = np.floor(u)
-    iv = np.floor(v)
-    du = np.subtract(u, iu, out=u)
-    dv = np.subtract(v, iv, out=v)
-    # The clamp keeps every tap inside the source where it was and moves
-    # every outside tap onto the pad; a horizon sample reads only the pad, at
-    # column w_src.
-    np.clip(iu, -2, w_src, out=iu)
-    iu[horizon] = w_src
-    np.clip(iv, -2, h_src, out=iv)
-    return iu, iv, du, dv
-
-
 def _inside_bands(inv: np.ndarray, out_width: int, out_height: int, src_shape: tuple[int, int]) -> np.ndarray:
     """Per band of _bands(out_height), whether it is proven that every
-    sample's four taps (`_band_taps`) lie inside a source of shape src_shape,
-    no sample maps to the horizon and neither clamp moves a tap.
+    sample's four taps (`_warp_bands`) lie inside a source of shape
+    src_shape, no sample maps to the horizon and no clamp would move a tap.
 
     The proof looks at the band's four corner sample centers only.  Where w
     has one sign at all four, it has that sign on the whole band (w is affine
@@ -256,34 +214,39 @@ def _sum_taps(src, row, base, du, dv, ru, rv, acc, weight, tap=None):
         acc += weight
 
 
-def _band_scratch(shape: tuple[int, int], dtype) -> list[np.ndarray]:
-    """The eight band arrays of a _warp_inside call: w, u, v, 1 - du, 1 - dv
-    and the band's sum in float64, the flat tap index in int64 and the
-    gathered taps in the source's dtype."""
-    return [*(np.empty(shape) for _ in range(6)), np.empty(shape, dtype=np.int64), np.empty(shape, dtype=dtype)]
+def _band_scratch(shape: tuple[int, int], dtype, clamp) -> list[np.ndarray]:
+    """The band arrays of a _warp_bands call: w, u, v, 1 - du, 1 - dv and the
+    band's sum in float64, the flat tap index in int64, the gathered taps in
+    the source's dtype and, where the taps are clamped, the horizon mask."""
+    scratch = [*(np.empty(shape) for _ in range(6)), np.empty(shape, dtype=np.int64), np.empty(shape, dtype=dtype)]
+    return scratch + [np.empty(shape, dtype=bool)] if clamp else scratch
 
 
-def _warp_inside(src: np.ndarray, inv: np.ndarray, row: int, bands, result: np.ndarray, scratch) -> None:
+def _warp_bands(src: np.ndarray, inv: np.ndarray, row: int, bands, result: np.ndarray, scratch, clamp) -> None:
     """Warp the given bands of result from the flat source src (row samples
-    per row), every band of which _inside_bands proved inside it, in the
-    arrays of scratch (_band_scratch).
+    per row) in the arrays of scratch (_band_scratch), in place: w becomes the
+    weight of one tap, and the whole-number tap coordinates become 1 - du and
+    1 - dv once the flat index is cast.  Every operation is elementwise, so a
+    band gets exactly the values the whole-output expressions would give.
 
-    The taps are those of _band_taps, made by the same operations in the same
-    order, less the horizon mask and the clamps, which change nothing in a
-    proven band.  The band arrays are reused: w becomes the weight of one
-    tap, and the whole-number tap coordinates become 1 - du and 1 - dv once
-    the flat index is cast."""
+    clamp is None where _inside_bands proved every band inside the plane, and
+    src is the plane.  Otherwise clamp is the plane's (height, width) and src
+    is np.pad(plane, 2): a horizon sample (|w| < _DET_EPS) takes w = 1.0, and
+    after du and dv are taken, each (0, 0) tap is clamped into [-2, w_src] x
+    [-2, h_src] (which moves only taps outside the source, onto the pad), a
+    horizon sample's column set to w_src, and shifted by the pad's 2 samples."""
     out_width = result.shape[1]
-    w_buf, u_buf, v_buf, ru_buf, rv_buf, acc_buf, base_buf, tap_buf = scratch
     gx = np.arange(out_width) + 0.5
     wx, ux, vx = inv[2, 0] * gx, inv[0, 0] * gx, inv[1, 0] * gx
     for band in bands:
         rows = band.stop - band.start
-        w, u, v, ru, rv, acc = (buf[:rows] for buf in (w_buf, u_buf, v_buf, ru_buf, rv_buf, acc_buf))
-        base, tap = base_buf[:rows], tap_buf[:rows]
+        w, u, v, ru, rv, acc, base, tap, *mask = (buf[:rows] for buf in scratch)
         gy = (np.arange(band.start, band.stop) + 0.5)[:, None]
         np.add(wx, inv[2, 1] * gy, out=w)
         w += inv[2, 2]
+        if clamp:
+            horizon = np.less(np.abs(w, out=u), _DET_EPS, out=mask[0])
+            w[horizon] = 1.0
         for coord, cx, k in ((u, ux, 0), (v, vx, 1)):
             np.add(cx, inv[k, 1] * gy, out=coord)
             coord += inv[k, 2]
@@ -293,6 +256,15 @@ def _warp_inside(src: np.ndarray, inv: np.ndarray, row: int, bands, result: np.n
         iv = np.floor(v, out=rv)
         u -= iu
         v -= iv
+        if clamp:
+            h_src, w_src = clamp
+            np.clip(iu, -2, w_src, out=iu)
+            iu[horizon] = w_src
+            np.clip(iv, -2, h_src, out=iv)
+            iu += 2
+            iv += 2
+        # The flat index iv * row + iu of each (0, 0) tap: every term is an
+        # integer in float64, so it is exact below 2**53 samples; cast once.
         iv *= row
         iv += iu
         np.copyto(base, iv, casting="unsafe")
@@ -321,92 +293,63 @@ def warp_plane(plane: np.ndarray, inv: np.ndarray, out_width: int, out_height: i
     as in the rectify of a camera frame whose light-emitting surface stays
     clear of the frame's edge, the bands are gathered from the plane itself
     (through `np.require(plane, requirements="CA")`, which copies only a
-    plane that is not C-contiguous and aligned) by `_warp_inside`, which
-    skips the horizon mask, the clamps and the min/max test: none of them
-    changes a bit of a proven band.  The bands are then interleaved between
-    the calling thread and one helper thread (none where the process may run
-    on one CPU only).  Each thread has its own band buffers and writes its
-    own rows of the result, and the call returns or raises only after the
-    helper has finished; the helper is started and joined within the call,
-    so no thread outlives it.
+    plane that is not C-contiguous and aligned), with no horizon mask and no
+    clamp: neither changes a bit of a proven band.  Any other plane, every
+    ideal plane of the generator among them (each band reaches the margin
+    around the LES raster), is padded once with zeros, `np.pad(plane, 2)`,
+    after the result is allocated (the other order raised the benchmark's
+    dense peak RSS by about 4 MiB; 2-vCPU VM, glibc malloc), and every band
+    is gathered from the padded copy with its taps clamped onto the pad
+    (`_warp_bands`).  There an outside tap adds `weight * +0.0 = +0.0`, the
+    weight being finite and >= 0: exactly the `0.0 * sample` of a tap masked
+    to weight 0.0, for a sample >= 0.  So for planes that are finite and >= 0
+    (every MeasurementFrame plane and every ideal plane of the generator) the
+    result is bit-identical to gathering each tap only where it lies inside
+    the source, on either path: the taps are summed in the same order with
+    the same weight expressions.
 
-    Any other plane is warped on the calling thread, as every generator
-    warp is (each band reaches the margin around the LES raster).  That
-    warp runs right after the generator's BLAS products, whose threads keep
-    spinning for a while after they return; a helper thread there gained no
-    time and raised the peak RSS.  A band whose four taps all lie inside the
-    plane gathers them from the plane itself.  A band with a tap outside it,
-    a horizon sample's among them, gathers from `np.pad(plane, 2)`, padded
-    once, at the first such band, so the padded copy is made only for a
-    plane with bands that leave the source.  There an outside tap adds
-    `weight * +0.0 = +0.0`, the weight being finite and >= 0: exactly the
-    `0.0 * sample` of a tap masked to weight 0.0, for a sample >= 0.  So for
-    planes that are finite and >= 0 (every MeasurementFrame plane and every
-    ideal plane of the generator) the result is bit-identical to gathering
-    each tap only where it lies inside the source, whichever path and
-    however many threads warp it: the taps are summed in the same order with
-    the same weight expressions.  The result is allocated before the padded
-    source; the other order raised the benchmark's dense peak RSS by about
-    4 MiB (2-vCPU VM, glibc malloc).
+    On either path the bands are interleaved between the calling thread and
+    one helper thread (none where the process may run on one CPU only), so
+    each thread gathers every other band.  Each thread has its own band
+    buffers and writes its own rows of the result, and the call returns or
+    raises only after the helper has finished; the helper is started and
+    joined within the call, so no thread outlives it.
     """
     result = np.empty((out_height, out_width), dtype=np.result_type(plane, np.float32))
-    h_src, w_src = plane.shape
-    inside = np.require(plane, requirements="CA").ravel()
     if _inside_bands(inv, out_width, out_height, plane.shape).all():
-        bands = list(_bands(out_height))
-        threads = min(_WARP_THREADS, _cpus(), len(bands))
-        # Every thread's band arrays are made here, on the calling thread,
-        # after the result: made on the helper, they came from a malloc arena
-        # of its own, and the benchmark's peak RSS rose by 3-10 MiB (glibc).
-        scratch = [_band_scratch((min(_BAND_ROWS, out_height), out_width), inside.dtype) for _ in range(threads)]
-        failures = []
+        src, row, clamp = np.require(plane, requirements="CA").ravel(), plane.shape[1], None
+    else:
+        src, row, clamp = np.pad(plane, 2).ravel(), plane.shape[1] + 4, plane.shape
+    bands = list(_bands(out_height))
+    threads = min(_WARP_THREADS, _cpus(), len(bands))
+    # Every thread's band arrays are made here, on the calling thread, after
+    # the result: made on the helper, they came from a malloc arena of its
+    # own, and the benchmark's peak RSS rose by 3-10 MiB (glibc).
+    scratch = [_band_scratch((min(_BAND_ROWS, out_height), out_width), src.dtype, clamp) for _ in range(threads)]
+    failures = []
 
-        def warp_share(k):
-            try:
-                _warp_inside(inside, inv, w_src, bands[k::threads], result, scratch[k])
-            except Exception as exc:  # raised again on the calling thread
-                failures.append(exc)
-
-        # Thread k warps bands k, k + threads, ...; thread 0 is the calling
-        # thread, and every helper is joined before the call returns.  With
-        # a concurrent.futures executor instead, the benchmark's generate
-        # peak RSS read 131.8 MiB, not 123.9 (glibc heap layout).
-        helpers = []
+    def warp_share(k):
         try:
-            for k in range(1, threads):
-                helper = threading.Thread(target=warp_share, args=(k,))
-                helper.start()
-                helpers.append(helper)
-            _warp_inside(inside, inv, w_src, bands[::threads], result, scratch[0])
-        finally:
-            for helper in helpers:
-                helper.join()
-        if failures:
-            raise failures[0]
-        return result
-    padded = None
-    # Band buffers, reused: the band's float64 sum and the weight of one tap.
-    acc_buf = np.empty((min(_BAND_ROWS, out_height), out_width))
-    weight_buf = np.empty_like(acc_buf)
-    for band in _bands(out_height):
-        iu, iv, du, dv = _band_taps(inv, band, out_width, plane.shape)
-        if iu.min() >= 0 and iu.max() <= w_src - 2 and iv.min() >= 0 and iv.max() <= h_src - 2:
-            src, row = inside, w_src
-        else:
-            if padded is None:
-                padded = np.pad(plane, 2).ravel()
-            src, row = padded, w_src + 4
-            iu += 2
-            iv += 2
-        # The flat index iv * row + iu of each (0, 0) tap: every term is an
-        # integer in float64, so it is exact below 2**53 samples; cast once.
-        iv *= row
-        iv += iu
-        base = iv.astype(np.int64)
-        rows = band.stop - band.start
-        acc = acc_buf[:rows]
-        _sum_taps(src, row, base, du, dv, 1 - du, 1 - dv, acc, weight_buf[:rows])
-        result[band] = acc
+            _warp_bands(src, inv, row, bands[k::threads], result, scratch[k], clamp)
+        except Exception as exc:  # raised again on the calling thread
+            failures.append(exc)
+
+    # Thread k warps bands k, k + threads, ...; thread 0 is the calling
+    # thread, and every helper is joined before the call returns.  With a
+    # concurrent.futures executor instead, the benchmark's generate peak RSS
+    # read 131.8 MiB, not 123.9 (glibc heap layout).
+    helpers = []
+    try:
+        for k in range(1, threads):
+            helper = threading.Thread(target=warp_share, args=(k,))
+            helper.start()
+            helpers.append(helper)
+        _warp_bands(src, inv, row, bands[::threads], result, scratch[0], clamp)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
     return result
 
 
@@ -422,11 +365,9 @@ def warp_frame(frame: MeasurementFrame, h: Homography, out_width: int, out_heigh
     float32 is monotone, and 0 and 1 are exact.  So the rectified frame, 4
     bytes per output sample and plane, is the only output-sized array made,
     besides band temporaries.  A source plane is copied only when a band of
-    its warp has a tap outside it: warp_plane then pads it with zeros, once.
-    When every band of a plane is proven to lie inside it, as in the rectify
-    of a frame whose light-emitting surface stays clear of the frame's edge,
-    warp_plane splits the bands between two threads, with the same bits as
-    one.
+    its warp is not proven to lie inside it: warp_plane then pads it with
+    zeros, once, and clamps the taps onto the pad.  Either way warp_plane
+    splits the bands between two threads, with the same bits as one.
 
     frame.planes is iterated once, in order, and each source plane is dropped
     before the next is taken.  So frame may also be any object whose planes

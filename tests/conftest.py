@@ -25,22 +25,21 @@ def put_nan(frame_path, plane: int, index: int) -> None:
 
 
 def warp_on_threads(monkeypatch, threads=None):
-    """Make geometry.warp_plane split a plane proven inside its source across
-    `threads` threads, whatever CPUs the process may run on (None: as many
-    as it would).  Returns the list to which each geometry._warp_inside call
-    appends (thread id, first rows of its bands); a plane warped by the
-    other loop appends nothing."""
+    """Make geometry.warp_plane split its bands across `threads` threads,
+    whatever CPUs the process may run on (None: as many as it would).
+    Returns the list to which each geometry._warp_bands call appends (thread
+    id, first rows of its bands, whether it clamps the taps onto a pad)."""
     if threads is not None:
         monkeypatch.setattr(geometry, "_WARP_THREADS", threads)
         monkeypatch.setattr(geometry, "_cpus", lambda: threads)
     calls = []
-    warp_inside = geometry._warp_inside
+    warp_bands = geometry._warp_bands
 
-    def spy(src, inv, row, bands, result, scratch):
-        calls.append((threading.get_ident(), [band.start for band in bands]))
-        warp_inside(src, inv, row, bands, result, scratch)
+    def spy(src, inv, row, bands, result, scratch, clamp):
+        calls.append((threading.get_ident(), [band.start for band in bands], clamp is not None))
+        warp_bands(src, inv, row, bands, result, scratch, clamp)
 
-    monkeypatch.setattr(geometry, "_warp_inside", spy)
+    monkeypatch.setattr(geometry, "_warp_bands", spy)
     return calls
 
 

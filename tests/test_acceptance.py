@@ -72,14 +72,20 @@ def test_criterion_3_denoising_direction_and_magnitude(tmp_path):
 
 
 def test_criterion_4_pca_oracle_equivalence():
+    # Two references: the eigendecomposition of the covariance, which
+    # pca_fit itself takes with np.linalg.eigh, and an independent one, the
+    # SVD of the centred matrix, whose right singular vectors are the
+    # components and whose sigma**2 / n are the explained variances.
     rng = np.random.default_rng(2024)
     worst_component, worst_value, worst_orth = 0.0, 0.0, 0.0
+    worst_svd_component, worst_svd_value = 0.0, 0.0
     for _ in range(100):
         Z = rng.normal(size=(50, 6)) @ np.diag(rng.uniform(0.1, 3.0, 6))
         model = ml.pca_fit(Z)
         centered = Z - Z.mean(axis=0)
         eigenvalues, eigenvectors = np.linalg.eigh(centered.T @ centered / len(Z))
         order = np.argsort(eigenvalues)[::-1][:2]
+        _, sigma, vt = np.linalg.svd(centered, full_matrices=False)
         for i, idx in enumerate(order):
             ref = eigenvectors[:, idx]
             got = model.components[i]
@@ -87,14 +93,22 @@ def test_criterion_4_pca_oracle_equivalence():
                 worst_component, min(np.abs(got - ref).max(), np.abs(got + ref).max())
             )
             worst_value = max(worst_value, abs(model.explained_variance[i] - eigenvalues[idx]))
+            worst_svd_component = max(
+                worst_svd_component, min(np.abs(got - vt[i]).max(), np.abs(got + vt[i]).max())
+            )
+            worst_svd_value = max(
+                worst_svd_value, abs(model.explained_variance[i] - sigma[i] ** 2 / len(Z))
+            )
         worst_orth = max(
             worst_orth, np.abs(model.components @ model.components.T - np.eye(2)).max()
         )
     assert worst_component < 1e-9
     assert worst_value < 1e-9
     assert worst_orth < 1e-9
-    report(4, f"100 matrices: component {worst_component:.2e}, "
-              f"eigenvalue {worst_value:.2e}, orthonormality {worst_orth:.2e}")
+    assert worst_svd_component < 1e-9
+    assert worst_svd_value < 1e-9
+    report(4, f"100 matrices: component {worst_component:.2e} (SVD {worst_svd_component:.2e}), "
+              f"eigenvalue {worst_value:.2e} (SVD {worst_svd_value:.2e}), orthonormality {worst_orth:.2e}")
 
 
 def test_criterion_5_kmeans_global_optimum():

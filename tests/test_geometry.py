@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -286,6 +287,33 @@ def masked_warp_oracle(plane, inv, out_width, out_height):
     return out
 
 
+def band_taps(inv, band, out_width, src_shape):
+    """The clamped bilinear taps of the output rows in band, the reference
+    for the taps of geometry._warp_bands: each sample center pulled back
+    through inv into a plane of shape src_shape (height, width).
+
+    Returns the column `iu` and row `iv` of every sample's (0, 0) tap, whole
+    numbers in float64, and the float64 fractional offsets `du` and `dv`.
+    The (0, 0) tap is clamped into [-2, w_src] x [-2, h_src], the zero pad of
+    `np.pad(plane, 2)` around the source, and a horizon sample's column is
+    w_src."""
+    h_src, w_src = src_shape
+    gx = (np.arange(out_width) + 0.5)[None, :]
+    gy = (np.arange(band.start, band.stop) + 0.5)[:, None]
+    w = inv[2, 0] * gx + inv[2, 1] * gy + inv[2, 2]
+    horizon = np.abs(w) < 1e-12
+    w[horizon] = 1.0
+    u = (inv[0, 0] * gx + inv[0, 1] * gy + inv[0, 2]) / w - 0.5
+    v = (inv[1, 0] * gx + inv[1, 1] * gy + inv[1, 2]) / w - 0.5
+    iu = np.floor(u)
+    iv = np.floor(v)
+    du, dv = u - iu, v - iv
+    np.clip(iu, -2, w_src, out=iu)
+    iu[horizon] = w_src
+    np.clip(iv, -2, h_src, out=iv)
+    return iu, iv, du, dv
+
+
 def _rotation_perspective():
     # Rotates by 20 degrees about (25, 20) with a perspective term, into an
     # output larger than the source, so many taps land outside it.
@@ -382,15 +410,16 @@ def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype, monkeypatch):
         inv, out_width = INSIDE_THEN_PAD, 40
     expected = masked_warp_oracle(plane, inv, out_width, out_height)
     plane = source_plane(case, plane)
-    # Per band, the samples with a tap outside the source: a band with one is
-    # gathered from np.pad(plane, 2), and they read its 2-sample zero pad.
+    # Per band, the samples with a tap outside the source: they read the
+    # 2-sample zero pad of np.pad(plane, 2), from which every band of a plane
+    # not proven inside its source is gathered.
     h_src, w_src = shape
-    taps = [geometry._band_taps(inv, band, out_width, shape)[:2] for band in geometry._bands(out_height)]
+    taps = [band_taps(inv, band, out_width, shape)[:2] for band in geometry._bands(out_height)]
     reads_pad = [(iu < 0) | (iu > w_src - 2) | (iv < 0) | (iv > h_src - 2) for iu, iv in taps]
     if case in PROVEN_INSIDE:
         assert not any(band.any() for band in reads_pad)
     elif case in ("inside_then_pad", "misaligned", "non_contiguous"):
-        # The first band reads the plane itself, a later one its padded copy.
+        # The first band's taps lie inside the plane, a later band's do not.
         assert not reads_pad[0].any() and reads_pad[-1].any()
     elif case != "identity":
         # Some samples read border taps of the pad and some do not.
@@ -400,12 +429,13 @@ def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype, monkeypatch):
             assert np.mean((iv == -2) | (iu == -2)) > 0.5
     # The float64 warp of the plane's float64 copy is the oracle, bit for
     # bit; a float32 plane warps to that warp rounded to float32.  So it is
-    # on one thread and on two, where only a plane whose bands are all
-    # proven inside its source is split: bands 0, 2, ... on the calling
-    # thread and 1, 3, ... on a helper.
+    # on one thread and on two, where every plane is split: bands 0, 2, ... on
+    # the calling thread and 1, 3, ... on a helper.  Only a plane whose bands
+    # are all proven inside its source is warped without the clamp.
     caller = threading.get_ident()
     bands = list(range(0, out_height, geometry._BAND_ROWS))
     warps = 2 if dtype == np.float32 else 1
+    clamped = case not in PROVEN_INSIDE
     for threads in (1, 2):
         with monkeypatch.context() as patch:
             calls = warp_on_threads(patch, threads)
@@ -417,13 +447,12 @@ def test_warp_plan_matches_masked_oracle_bit_for_bit(case, dtype, monkeypatch):
                 out32 = geometry.warp_plane(plane, inv, out_width, out_height)
                 assert out32.dtype == np.float32 and out32.shape == (out_height, out_width)
                 assert out32.tobytes() == expected.astype(np.float32).tobytes()
-        if case not in PROVEN_INSIDE:
-            assert calls == []
-        elif threads == 1 or len(bands) == 1:
-            assert calls == [(caller, bands)] * warps
+        if threads == 1 or len(bands) == 1:
+            assert calls == [(caller, bands, clamped)] * warps
         else:
-            assert sorted(starts for _, starts in calls) == sorted([bands[::2], bands[1::2]] * warps)
-            assert all((thread == caller) == (starts == bands[::2]) for thread, starts in calls)
+            assert sorted(starts for _, starts, _ in calls) == sorted([bands[::2], bands[1::2]] * warps)
+            assert all((thread == caller) == (starts == bands[::2]) for thread, starts, _ in calls)
+            assert all(clamp == clamped for *_, clamp in calls)
 
 
 def test_warp_plane_runs_no_more_threads_than_cpus(monkeypatch):
@@ -434,7 +463,25 @@ def test_warp_plane_runs_no_more_threads_than_cpus(monkeypatch):
     plane = np.random.default_rng(24).uniform(0, 80, size=(40, 50))
     out = geometry.warp_plane(plane, ALL_INSIDE, 72, 64)
     assert out.tobytes() == masked_warp_oracle(plane, ALL_INSIDE, 72, 64).tobytes()
-    assert len(calls) == len({thread for thread, _ in calls}) == min(2, geometry._cpus())
+    assert len(calls) == len({thread for thread, _, _ in calls}) == min(2, geometry._cpus())
+
+
+@pytest.mark.parametrize("clamped", [False, True], ids=["inside", "clamped"])
+def test_warp_plane_on_more_threads_than_cpus_switching_often(clamped, monkeypatch):
+    # Three threads on at most two CPUs, the interpreter switching between
+    # them every microsecond: each still writes only its own bands' rows.
+    calls = warp_on_threads(monkeypatch, 3)
+    plane = np.random.default_rng(25).uniform(0, 80, size=(40, 50))
+    inv = _rotation_perspective_inverse() if clamped else ALL_INSIDE
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = geometry.warp_plane(plane, inv, 72, 64)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out.tobytes() == masked_warp_oracle(plane, inv, 72, 64).tobytes()
+    assert sorted(starts for _, starts, _ in calls) == [[0, 48], [16], [32]]
+    assert all(clamp == clamped for *_, clamp in calls)
 
 
 # The source (height, width) and the output width and height of the corner
@@ -443,10 +490,10 @@ PROOF_SHAPE, PROOF_OUT = (90, 100), (64, 80)
 
 
 def exact_inside_band(inv, band):
-    """The exact test of a band: every sample's (0, 0) tap (_band_taps) lies
+    """The exact test of a band: every sample's (0, 0) tap (band_taps) lies
     in [0, w_src - 2] x [0, h_src - 2], and no sample maps to the horizon."""
     (h_src, w_src), out_width = PROOF_SHAPE, PROOF_OUT[0]
-    iu, iv, _, _ = geometry._band_taps(inv, band, out_width, PROOF_SHAPE)
+    iu, iv, _, _ = band_taps(inv, band, out_width, PROOF_SHAPE)
     gx = np.arange(out_width) + 0.5
     gy = (np.arange(band.start, band.stop) + 0.5)[:, None]
     w = inv[2, 0] * gx + inv[2, 1] * gy + inv[2, 2]
@@ -552,35 +599,54 @@ def test_band_with_a_horizon_sample_is_not_proven(horizon):
         assert not any(exact_inside_band(inv, band) for band, hit in zip(bands, crossed) if hit)
 
 
-def test_helper_thread_failure_propagates_after_the_callers_share(monkeypatch):
+def check_helper_failure_propagates(monkeypatch, inv, clamped):
+    """A helper thread's exception in a warp_plane call through inv is
+    raised on the calling thread after its own share, and no thread is
+    left running."""
     calls = warp_on_threads(monkeypatch, 2)
     caller = threading.get_ident()
-    spied = geometry._warp_inside
+    spied = geometry._warp_bands
     finished = []
 
-    def fail_on_helper(src, inv, row, bands, result, scratch):
+    def fail_on_helper(src, inv, row, bands, result, scratch, clamp):
         if threading.get_ident() != caller:
             raise RuntimeError("helper failed")
-        spied(src, inv, row, bands, result, scratch)
+        spied(src, inv, row, bands, result, scratch, clamp)
         finished.append(bands[0].start)
 
-    monkeypatch.setattr(geometry, "_warp_inside", fail_on_helper)
+    monkeypatch.setattr(geometry, "_warp_bands", fail_on_helper)
     plane = np.random.default_rng(35).uniform(0, 80, size=(40, 50))
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="helper failed"):
-        geometry.warp_plane(plane, ALL_INSIDE, 72, 64)
+        geometry.warp_plane(plane, inv, 72, 64)
     assert finished == [0]
-    assert [starts for _, starts in calls] == [[0, 32]]
+    assert calls == [(caller, [0, 32], clamped)]
     assert threading.active_count() == before
 
 
-def test_generator_warps_take_the_one_thread_loop(monkeypatch):
+def test_helper_thread_failure_propagates_after_the_callers_share(monkeypatch):
+    check_helper_failure_propagates(monkeypatch, ALL_INSIDE, clamped=False)
+
+
+def test_helper_thread_failure_propagates_on_the_clamped_path(monkeypatch):
+    check_helper_failure_propagates(monkeypatch, _rotation_perspective_inverse(), clamped=True)
+
+
+def test_generator_warps_split_on_two_threads_with_clamped_taps(monkeypatch):
     # Every band of the generator's four warps reaches the margin around the
-    # LES raster, so none is proven inside and no warp is split.
-    calls = warp_on_threads(monkeypatch, 2)
+    # LES raster, so each ideal plane is padded and its taps clamped; its
+    # bands are still split between the calling thread and a helper, with
+    # the bytes of one thread.
     config = synthgen.SynthConfig(grid_rows=12, grid_cols=12, cell_size_px=20, gap_px=3, lum_sigma=5, seed=5)
-    synthgen.generate(config)
-    assert calls == []
+    caller = threading.get_ident()
+    frames = {}
+    for threads in (2, 1):
+        with monkeypatch.context() as patch:
+            calls = warp_on_threads(patch, threads)
+            frames[threads], _, _ = synthgen.generate(config)
+        assert len(calls) == 4 * threads and all(clamp for *_, clamp in calls)
+        assert sum(thread == caller for thread, _, _ in calls) == 4
+    assert [plane.tobytes() for plane in frames[2].planes] == [plane.tobytes() for plane in frames[1].planes]
 
 
 def warp_frame_case(case="horizon"):

@@ -9,11 +9,11 @@ allocated during the call, so an input made before it is not counted.
 - FLOAT32_PLANE and FLOAT64_PLANE are one plane of the output, in float32
   (the rectified frame's planes) or float64 (the generator's warped planes).
 - SLACK per output sample covers the band scratch of a warp (two bands in
-  flight where a plane's bands are split across two threads, each with its
-  own eight arrays of _BAND_ROWS rows; one band otherwise), the frame
-  checks' masks and rounding.
+  flight, a plane's bands being split across two threads, each with its own
+  eight or nine arrays of _BAND_ROWS rows), the frame checks' masks and
+  rounding.
 - A warp's zero-padded source, np.pad(plane, 2), is a term per source sample,
-  and only where a band of the warp has a tap outside the source: the
+  and only where a band of the warp is not proven inside the source: the
   rectify of a frame whose taps all stay inside makes no such copy.
 - Every warp makes its taps band by band, so no bound has a term for
   output-sized taps, and warp_frame warps every plane straight into a
@@ -172,7 +172,8 @@ def test_rectify_warps_the_same_bytes_on_one_thread_and_two(rectify_args, monkey
         two = geometry.warp_plane(plane, inv, out_w, out_h)
         # Every band is proven inside the source, so the bands are split
         # between the calling thread and a helper.
-        assert len(calls) == 2 and len({thread for thread, _ in calls}) == 2
+        assert len(calls) == 2 and len({thread for thread, _, _ in calls}) == 2
+        assert not any(clamp for *_, clamp in calls)
         monkeypatch.undo()
         calls = warp_on_threads(monkeypatch, 1)
         assert geometry.warp_plane(plane, inv, out_w, out_h).tobytes() == two.tobytes()

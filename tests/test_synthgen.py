@@ -151,6 +151,62 @@ def test_coverage_matrix_matches_per_cell_loop(cell, gap):
         assert got.tobytes() == want.tobytes()
 
 
+# (cell_size_px, gap_px) of layouts where no sample overlaps two cells (K = 1
+# on both axes): the acceptance and dense geometries, cell edges off the
+# sample grid with a gap over 1 px, a 1 px gap and no gap at a whole pitch.
+# Then layouts where samples overlap two cells (K = 2): gaps under 1 px with
+# cell edges off the sample grid.
+ONE_CELL_PER_SAMPLE = [(20.0, 3.0), (7.0, 2.5), (7.3, 1.1), (3.0, 1.0), (5.0, 0.0)]
+TWO_CELLS_PER_SAMPLE = [(1.875, 0.625), (4.3, 0.0), (0.6, 0.3)]
+
+
+def ideal_case(cell, gap):
+    """(values, row slots, column slots, row coverage, column coverage) of a
+    7 x 9-cell LES of the generator's size with random values >= 0, a fifth
+    of them 0."""
+    rng = np.random.default_rng(41)
+    n_rows, n_cols = 7, 9
+    values = rng.uniform(0.0, 100.0, size=(n_rows, n_cols))
+    values[rng.uniform(size=values.shape) < 0.2] = 0.0
+    pitch = cell + gap
+    axes = [(n, math.ceil(n * pitch - 1e-9)) for n in (n_rows, n_cols)]
+    coverage = [synthgen._coverage_matrix(n, pitch, cell, gap, samples) for n, samples in axes]
+    return values, *(synthgen._coverage_slots(cov) for cov in coverage), *coverage
+
+
+def cell_order_product(values, cov_y, cov_x):
+    """cov_y.T @ values @ cov_x as an explicit loop over the cells, each
+    product's terms added in cell order."""
+    rows = np.zeros((cov_y.shape[1], values.shape[1]))
+    for r in range(len(cov_y)):
+        rows += cov_y[r][:, None] * values[r]
+    out = np.zeros((cov_y.shape[1], cov_x.shape[1]))
+    for c in range(len(cov_x)):
+        out += rows[:, c][:, None] * cov_x[c]
+    return out
+
+
+@pytest.mark.parametrize("cell, gap", ONE_CELL_PER_SAMPLE)
+def test_ideal_equals_the_coverage_product_where_samples_meet_one_cell(cell, gap):
+    # Each sample of either product has one nonzero term, so the slot sums
+    # give the bits of the matrix product.
+    values, rows, cols, cov_y, cov_x = ideal_case(cell, gap)
+    assert len(rows[1]) == len(cols[1]) == 1
+    assert synthgen._ideal(values, rows, cols).tobytes() == (cov_y.T @ values @ cov_x).tobytes()
+
+
+@pytest.mark.parametrize("cell, gap", TWO_CELLS_PER_SAMPLE)
+def test_ideal_sums_in_cell_order_where_samples_meet_two_cells(cell, gap):
+    # The bits of the cell-order loop, and within 1e-15 relative of the
+    # matrix product, whose kernel may round its terms otherwise.
+    values, rows, cols, cov_y, cov_x = ideal_case(cell, gap)
+    assert len(rows[1]) == len(cols[1]) == 2
+    ideal = synthgen._ideal(values, rows, cols)
+    assert ideal.tobytes() == cell_order_product(values, cov_y, cov_x).tobytes()
+    product = cov_y.T @ values @ cov_x
+    assert np.all(np.abs(ideal - product) <= 1e-15 * product)
+
+
 def test_projection_periodicity_invariant():
     # zero distortion and noise: projections repeat exactly at the pitch
     config = small_config(lum_sigma=0.0)
